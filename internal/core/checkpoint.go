@@ -28,13 +28,30 @@ import (
 // counts, keeping the MaxMemoryBytes size estimate — and with it every
 // future sampling decision — unchanged across resume.
 //
-// File layout: "APCK" magic, version byte, uint32 little-endian payload
-// length, uint32 little-endian CRC-32 (IEEE) of the payload, gob-encoded
-// checkpointData. The checksum makes a torn checkpoint write (the crash the
-// mechanism exists for) detectable instead of silently resumable.
+// File layout (version 2): "APCK" magic, version byte, uint32 little-endian
+// payload length, uint32 little-endian CRC-32 (IEEE) of the payload. The
+// checksum makes a torn checkpoint write (the crash the mechanism exists
+// for) detectable instead of silently resumable. The payload is
+//
+//	uint32 length | gob-encoded checkpointData (the metadata envelope)
+//	table wts | table wkind | table ts of each envelope thread, in order
+//
+// where every table is a uint32 byte length followed by its leaf runs: the
+// maximal runs of consecutive non-zero cells within one leaf chunk, in
+// increasing address order. A run is uvarint(start − end of the previous
+// run), uvarint(cell count), then the values — a uvarint each for the
+// uint64 timestamp tables, one raw byte each for wkind. All integers in the
+// framing are little-endian. The wts and wkind tables are empty in rms-only
+// mode. Version 1 files (gob-encoded cell lists) are not read: they are
+// reported as ErrCheckpointCorrupt, like any other checkpoint that cannot
+// be resumed, and the run starts over.
 
 const checkpointMagic = "APCK"
-const checkpointVersion = 1
+const checkpointVersion = 2
+
+// ckptHeaderLen is the size of the framing before the payload: magic,
+// version, payload length, and CRC.
+const ckptHeaderLen = len(checkpointMagic) + 1 + 8
 
 // StreamState is the trace-reader position stored alongside the profiler
 // state, letting ResumeStream re-synchronize the input.
@@ -60,16 +77,6 @@ var ErrCheckpointUnsupported = fmt.Errorf("core: configuration does not support 
 // like a missing file or a configuration mismatch.
 var ErrCheckpointCorrupt = fmt.Errorf("core: corrupt checkpoint")
 
-type ckptCell struct {
-	Addr uint64
-	Val  uint64
-}
-
-type ckptCell8 struct {
-	Addr uint64
-	Val  uint8
-}
-
 type ckptFrame struct {
 	Rtn         uint32
 	TS          uint64
@@ -84,7 +91,6 @@ type ckptThread struct {
 	ID       int32
 	Cost     uint64
 	Overflow int
-	TS       []ckptCell
 	Stack    []ckptFrame
 }
 
@@ -141,12 +147,12 @@ func fingerprint(cfg Config) ckptConfig {
 	}
 }
 
+// checkpointData is the metadata envelope: everything a checkpoint holds
+// except the shadow tables, which follow it as leaf runs.
 type checkpointData struct {
 	Cfg            ckptConfig
 	Count          uint64
 	Symbols        []string
-	WTS            []ckptCell
-	WKind          []ckptCell8
 	Threads        []ckptThread
 	Profiles       []ckptProfile
 	Events         int
@@ -156,24 +162,6 @@ type checkpointData struct {
 	MemStride      uint64
 	NextEventCheck uint64
 	Stream         StreamState
-}
-
-func dumpTable64(t *shadow.Table[uint64]) []ckptCell {
-	var out []ckptCell
-	t.ForEach(func(v uint64) bool { return v == 0 }, func(a trace.Addr, v uint64) {
-		out = append(out, ckptCell{Addr: uint64(a), Val: v})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-func dumpTable8(t *shadow.Table[uint8]) []ckptCell8 {
-	var out []ckptCell8
-	t.ForEach(func(v uint8) bool { return v == 0 }, func(a trace.Addr, v uint8) {
-		out = append(out, ckptCell8{Addr: uint64(a), Val: v})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }
 
 func dumpPoints(points map[uint64]*CostStats) []ckptPoint {
@@ -215,11 +203,12 @@ func (p *Profiler) WriteCheckpoint(w io.Writer, stream StreamState) error {
 	if p.cfg.ContextSensitive {
 		return fmt.Errorf("%w: context-sensitive profiling", ErrCheckpointUnsupported)
 	}
+	threads, states := dumpThreadsCkpt(p.threads)
 	data := checkpointData{
 		Cfg:            fingerprint(p.cfg),
 		Count:          p.count,
 		Symbols:        p.syms.Names(),
-		Threads:        dumpThreadsCkpt(p.threads),
+		Threads:        threads,
 		Profiles:       dumpProfilesCkpt(p.out.ByKey),
 		Events:         p.out.Events,
 		Renumberings:   p.out.Renumberings,
@@ -229,30 +218,28 @@ func (p *Profiler) WriteCheckpoint(w io.Writer, stream StreamState) error {
 		NextEventCheck: p.nextEventCheck,
 		Stream:         stream,
 	}
-	if p.wts != nil {
-		data.WTS = dumpTable64(p.wts)
-		data.WKind = dumpTable8(p.wkind)
-	}
-	return encodeCheckpoint(w, &data)
+	var err error
+	p.ckptBuf, err = encodeCheckpoint(w, p.ckptBuf, &data, p.wts, p.wkind, states)
+	return err
 }
 
-// dumpThreadsCkpt serializes thread states sorted by thread id. Shared by
-// the sequential and sharded checkpoint writers (the sharded engine passes
-// the union of its per-shard thread maps).
-func dumpThreadsCkpt(threads map[trace.ThreadID]*threadState) []ckptThread {
-	tids := make([]trace.ThreadID, 0, len(threads))
-	for id := range threads {
-		tids = append(tids, id)
+// dumpThreadsCkpt serializes thread states sorted by thread id, returning
+// the envelope entries and, in the same order, the states whose ts tables
+// follow the envelope. Shared by the sequential and sharded checkpoint
+// writers (the sharded engine passes the union of its per-shard thread
+// maps).
+func dumpThreadsCkpt(threads map[trace.ThreadID]*threadState) ([]ckptThread, []*threadState) {
+	states := make([]*threadState, 0, len(threads))
+	for _, t := range threads {
+		states = append(states, t)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	out := make([]ckptThread, 0, len(tids))
-	for _, id := range tids {
-		t := threads[id]
+	sort.Slice(states, func(i, j int) bool { return states[i].id < states[j].id })
+	out := make([]ckptThread, 0, len(states))
+	for _, t := range states {
 		ct := ckptThread{
-			ID:       int32(id),
+			ID:       int32(t.id),
 			Cost:     t.cost,
 			Overflow: t.overflow,
-			TS:       dumpTable64(t.ts),
 		}
 		for i := range t.stack {
 			f := &t.stack[i]
@@ -263,7 +250,7 @@ func dumpThreadsCkpt(threads map[trace.ThreadID]*threadState) []ckptThread {
 		}
 		out = append(out, ct)
 	}
-	return out
+	return out, states
 }
 
 // dumpProfilesCkpt serializes profiles sorted by (routine, thread). Shared
@@ -294,72 +281,264 @@ func dumpProfilesCkpt(byKey map[Key]*Profile) []ckptProfile {
 	return out
 }
 
-// encodeCheckpoint gob-encodes data and writes the framed APCK document.
-func encodeCheckpoint(w io.Writer, data *checkpointData) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(data); err != nil {
-		return fmt.Errorf("core: encoding checkpoint: %w", err)
+// encodeCheckpoint assembles the framed APCK document in buf (reused: its
+// previous contents are discarded) and writes it to w, returning the buffer
+// for the next call. wts and wkind are nil in rms-only mode; threads
+// parallels data.Threads. It is the only way either engine emits shadow
+// cells, which is what keeps their checkpoints byte-identical.
+func encodeCheckpoint(w io.Writer, buf []byte, data *checkpointData, wts *shadow.Table[uint64], wkind *shadow.Table[uint8], threads []*threadState) ([]byte, error) {
+	// The header and the envelope length lead the document; both are
+	// filled in once what they describe has been appended.
+	var lead [ckptHeaderLen + 4]byte
+	env := bytes.NewBuffer(append(buf[:0], lead[:]...))
+	if err := gob.NewEncoder(env).Encode(data); err != nil {
+		return buf, fmt.Errorf("core: encoding checkpoint: %w", err)
 	}
-	hdr := make([]byte, 0, len(checkpointMagic)+1+8)
-	hdr = append(hdr, checkpointMagic...)
-	hdr = append(hdr, checkpointVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(payload.Len()))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("core: writing checkpoint: %w", err)
+	buf = env.Bytes()
+	binary.LittleEndian.PutUint32(buf[ckptHeaderLen:], uint32(len(buf)-len(lead)))
+	buf = appendTable(buf, wts, binary.AppendUvarint)
+	buf = appendTable(buf, wkind, appendByte)
+	for _, t := range threads {
+		buf = appendTable(buf, t.ts, binary.AppendUvarint)
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("core: writing checkpoint: %w", err)
+	payload := buf[ckptHeaderLen:]
+	copy(buf, checkpointMagic)
+	buf[len(checkpointMagic)] = checkpointVersion
+	binary.LittleEndian.PutUint32(buf[5:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[9:], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(buf); err != nil {
+		return buf, fmt.Errorf("core: writing checkpoint: %w", err)
+	}
+	return buf, nil
+}
+
+// appendTable appends one table section — a uint32 byte length, then the
+// leaf runs of t's non-zero cells in address order — with appendVal
+// encoding each value. A nil table is an empty section.
+func appendTable[T uint8 | uint64](buf []byte, t *shadow.Table[T], appendVal func([]byte, T) []byte) []byte {
+	at := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	if t != nil {
+		var end uint64
+		t.Leaves(func(base trace.Addr, cells []T) {
+			for i := 0; i < len(cells); i++ {
+				// Most cells of a leaf are zero: skip them four at a time.
+				for i+4 <= len(cells) && cells[i]|cells[i+1]|cells[i+2]|cells[i+3] == 0 {
+					i += 4
+				}
+				if i == len(cells) || cells[i] == 0 {
+					continue
+				}
+				j := i + 1
+				for j < len(cells) && cells[j] != 0 {
+					j++
+				}
+				start := uint64(base) + uint64(i)
+				buf = binary.AppendUvarint(buf, start-end)
+				buf = binary.AppendUvarint(buf, uint64(j-i))
+				for _, v := range cells[i:j] {
+					buf = appendVal(buf, v)
+				}
+				end = start + uint64(j-i)
+				i = j
+			}
+		})
+	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	return buf
+}
+
+// checkpointDoc is an integrity-checked checkpoint: the decoded envelope
+// and its still-encoded table sections (ts parallels data.Threads).
+type checkpointDoc struct {
+	data       checkpointData
+	wts, wkind []byte
+	ts         [][]byte
+}
+
+// corrupt formats an ErrCheckpointCorrupt error.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCheckpointCorrupt}, args...)...)
+}
+
+// readCheckpoint reads and integrity-checks one checkpoint document. Every
+// failure mode that means "the bytes are damaged" — a short or torn
+// header, wrong magic or version, truncated payload, checksum mismatch,
+// undecodable envelope, table sections that do not tile the payload — wraps
+// ErrCheckpointCorrupt, so a torn write detected at resume time is
+// diagnosable as such rather than a grab-bag of io errors. The table
+// sections' runs are checked by loadTable.
+func readCheckpoint(r io.Reader) (*checkpointDoc, error) {
+	hdr := make([]byte, ckptHeaderLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, corrupt("reading header: %v", err)
+	}
+	if string(hdr[:4]) != checkpointMagic {
+		return nil, corrupt("not a checkpoint file (bad magic %q)", hdr[:4])
+	}
+	if hdr[4] != checkpointVersion {
+		return nil, corrupt("unsupported checkpoint version %d", hdr[4])
+	}
+	length := binary.LittleEndian.Uint32(hdr[5:9])
+	sum := binary.LittleEndian.Uint32(hdr[9:13])
+	// Grow the payload as bytes arrive rather than trusting the declared
+	// length with one allocation: a flipped length bit must not cost 4 GiB.
+	var buf bytes.Buffer
+	buf.Grow(int(min(length, 1<<20)))
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(length))); err != nil || buf.Len() < int(length) {
+		return nil, corrupt("reading payload (%d bytes declared, %d read): %v", length, buf.Len(), err)
+	}
+	payload := buf.Bytes()
+	if got := crc32.ChecksumIEEE(payload); got != sum {
+		return nil, corrupt("checksum mismatch (file %08x, computed %08x): torn or corrupt write", sum, got)
+	}
+	doc := &checkpointDoc{}
+	env, rest, err := splitSection(payload, "envelope")
+	if err != nil {
+		return nil, err
+	}
+	er := bytes.NewReader(env)
+	if err := gob.NewDecoder(er).Decode(&doc.data); err != nil {
+		return nil, corrupt("decoding envelope: %v", err)
+	}
+	if er.Len() != 0 {
+		return nil, corrupt("%d trailing bytes after the envelope", er.Len())
+	}
+	if doc.wts, rest, err = splitSection(rest, "wts table"); err != nil {
+		return nil, err
+	}
+	if doc.wkind, rest, err = splitSection(rest, "wkind table"); err != nil {
+		return nil, err
+	}
+	doc.ts = make([][]byte, len(doc.data.Threads))
+	for i := range doc.ts {
+		if doc.ts[i], rest, err = splitSection(rest, "thread table"); err != nil {
+			return nil, err
+		}
+	}
+	if len(rest) != 0 {
+		return nil, corrupt("%d trailing payload bytes", len(rest))
+	}
+	return doc, nil
+}
+
+// splitSection takes one uint32-length-prefixed section off the front of p.
+func splitSection(p []byte, what string) (section, rest []byte, err error) {
+	if len(p) < 4 {
+		return nil, nil, corrupt("truncated %s length", what)
+	}
+	n := binary.LittleEndian.Uint32(p)
+	if uint64(n) > uint64(len(p)-4) {
+		return nil, nil, corrupt("%s of %d bytes overruns the %d payload bytes left", what, n, len(p)-4)
+	}
+	return p[4 : 4+n], p[4+n:], nil
+}
+
+// loadTable decodes one table section's runs into t, or only validates them
+// when t is nil. readVal decodes one value, returning its size (≤ 0 when
+// the bytes are truncated or malformed). Each run is checked before any of
+// its cells is stored: every value takes at least one byte, so a run longer
+// than the bytes left is corrupt, and a run may not leave its leaf chunk —
+// the table therefore materializes at most one leaf per run the payload
+// actually holds.
+func loadTable[T uint8 | uint64](data []byte, t *shadow.Table[T], readVal func([]byte) (T, int)) error {
+	var end uint64
+	for len(data) > 0 {
+		gap, n := binary.Uvarint(data)
+		if n <= 0 {
+			return corrupt("truncated run address")
+		}
+		data = data[n:]
+		count, n := binary.Uvarint(data)
+		if n <= 0 {
+			return corrupt("truncated run length")
+		}
+		data = data[n:]
+		if count == 0 || count > uint64(len(data)) {
+			return corrupt("run of %d cells with %d payload bytes left", count, len(data))
+		}
+		start := end + gap
+		if start < end {
+			return corrupt("run address overflows")
+		}
+		if start%shadow.LeafCells+count > shadow.LeafCells {
+			return corrupt("run of %d cells at %#x crosses a leaf chunk", count, start)
+		}
+		for i := uint64(0); i < count; i++ {
+			v, n := readVal(data)
+			if n <= 0 || v == 0 {
+				return corrupt("malformed or zero cell value at %#x", start+i)
+			}
+			data = data[n:]
+			if t != nil {
+				t.Store(trace.Addr(start+i), v)
+			}
+		}
+		end = start + count
+		if end == 0 && len(data) > 0 {
+			return corrupt("run past the end of the address space")
+		}
 	}
 	return nil
 }
 
-// readCheckpointData reads and integrity-checks one checkpoint document.
-// Every failure mode that means "the bytes are damaged" — a short or torn
-// header, wrong magic, truncated payload, checksum mismatch, undecodable
-// gob — wraps ErrCheckpointCorrupt, so a torn write detected at resume time
-// is diagnosable as such rather than a grab-bag of io errors.
-func readCheckpointData(r io.Reader) (*checkpointData, error) {
-	hdr := make([]byte, len(checkpointMagic)+1+8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCheckpointCorrupt, err)
+func appendByte(dst []byte, v uint8) []byte { return append(dst, v) }
+
+func readByte(p []byte) (uint8, int) {
+	if len(p) == 0 {
+		return 0, 0
 	}
-	if string(hdr[:4]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: not a checkpoint file (bad magic %q)", ErrCheckpointCorrupt, hdr[:4])
-	}
-	if hdr[4] != checkpointVersion {
-		return nil, fmt.Errorf("%w: unsupported checkpoint version %d", ErrCheckpointCorrupt, hdr[4])
-	}
-	length := binary.LittleEndian.Uint32(hdr[5:9])
-	sum := binary.LittleEndian.Uint32(hdr[9:13])
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: reading payload (%d bytes declared): %v", ErrCheckpointCorrupt, length, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x): torn or corrupt write", ErrCheckpointCorrupt, sum, got)
-	}
-	var data checkpointData
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&data); err != nil {
-		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCheckpointCorrupt, err)
-	}
-	return &data, nil
+	return p[0], 1
 }
 
 // ReadCheckpointState reads just the stream position from a checkpoint,
-// validating integrity and that cfg matches the checkpointed configuration.
-// The aprofd daemon uses it to learn a session's resume offset — and to
-// reject an unusable checkpoint — before committing to a resumed run.
+// validating integrity (every table's runs included) and that cfg matches
+// the checkpointed configuration. The aprofd daemon uses it to learn a
+// session's resume offset — and to reject an unusable checkpoint — before
+// committing to a resumed run.
 func ReadCheckpointState(r io.Reader, cfg Config) (StreamState, error) {
 	var none StreamState
-	data, err := readCheckpointData(r)
+	doc, err := readCheckpoint(r)
 	if err != nil {
 		return none, err
 	}
-	if got, want := fingerprint(cfg), data.Cfg; got != want {
+	if got, want := fingerprint(cfg), doc.data.Cfg; got != want {
 		return none, fmt.Errorf("core: checkpoint was taken under a different configuration (checkpoint %+v, resume %+v)", want, got)
 	}
-	return data.Stream, nil
+	if err := doc.load(nil); err != nil {
+		return none, err
+	}
+	return doc.data.Stream, nil
+}
+
+// load decodes the table sections into p's write shadows and its threads'
+// ts tables, or only validates them when p is nil. A configuration without
+// a write shadow (rms-only) must carry empty wts and wkind sections.
+func (doc *checkpointDoc) load(p *Profiler) error {
+	if cfg := doc.data.Cfg; !cfg.ThreadInput && !cfg.ExternalInput && len(doc.wts)+len(doc.wkind) > 0 {
+		return corrupt("write shadow in an rms-only checkpoint")
+	}
+	var wts *shadow.Table[uint64]
+	var wkind *shadow.Table[uint8]
+	if p != nil {
+		wts, wkind = p.wts, p.wkind
+	}
+	if err := loadTable(doc.wts, wts, binary.Uvarint); err != nil {
+		return err
+	}
+	if err := loadTable(doc.wkind, wkind, readByte); err != nil {
+		return err
+	}
+	for i, ct := range doc.data.Threads {
+		var ts *shadow.Table[uint64]
+		if p != nil {
+			ts = p.thread(trace.ThreadID(ct.ID)).ts
+		}
+		if err := loadTable(doc.ts[i], ts, binary.Uvarint); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ResumeProfiler rebuilds a profiler from a checkpoint written by
@@ -370,11 +549,11 @@ func ReadCheckpointState(r io.Reader, cfg Config) (StreamState, error) {
 func ResumeProfiler(r io.Reader, cfg Config) (*Profiler, StreamState, error) {
 	start := time.Now()
 	var none StreamState
-	dataPtr, err := readCheckpointData(r)
+	doc, err := readCheckpoint(r)
 	if err != nil {
 		return nil, none, err
 	}
-	data := *dataPtr
+	data := &doc.data
 	if cfg.ContextSensitive {
 		return nil, none, fmt.Errorf("%w: context-sensitive profiling", ErrCheckpointUnsupported)
 	}
@@ -394,21 +573,13 @@ func ResumeProfiler(r io.Reader, cfg Config) (*Profiler, StreamState, error) {
 	p.memSeq = data.MemSeq
 	p.memStride = data.MemStride
 	p.nextEventCheck = data.NextEventCheck
-	if p.wts != nil {
-		for _, c := range data.WTS {
-			p.wts.Store(trace.Addr(c.Addr), c.Val)
-		}
-		for _, c := range data.WKind {
-			p.wkind.Store(trace.Addr(c.Addr), c.Val)
-		}
+	if err := doc.load(p); err != nil {
+		return nil, none, err
 	}
 	for _, ct := range data.Threads {
 		t := p.thread(trace.ThreadID(ct.ID))
 		t.cost = ct.Cost
 		t.overflow = ct.Overflow
-		for _, c := range ct.TS {
-			t.ts.Store(trace.Addr(c.Addr), c.Val)
-		}
 		for _, cf := range ct.Stack {
 			t.stack = append(t.stack, frame{
 				rtn: trace.RoutineID(cf.Rtn), ts: cf.TS, entryCost: cf.EntryCost,

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"aprof/internal/shadow"
 	"aprof/internal/trace"
 )
 
@@ -31,6 +35,16 @@ func runSplit(t *testing.T, tr *trace.Trace, cfg Config, n int) *Profiles {
 	if state.EventsDelivered != uint64(n) {
 		t.Fatalf("StreamState.EventsDelivered = %d, want %d", state.EventsDelivered, n)
 	}
+	// Identical chunk counts are what keep every later sampling decision
+	// unchanged by a resume: MaxMemoryBytes is checked against
+	// liveBytesEstimate, the variant of SpaceBytes that sizes stacks by
+	// length (a resumed stack's capacity is not reproduced).
+	if got, want := q.liveBytesEstimate(), p.liveBytesEstimate(); got != want {
+		t.Fatalf("resumed live-bytes estimate = %d, original %d", got, want)
+	}
+	if got, want := leafCounts(q), leafCounts(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed leaf chunks %v, original %v", got, want)
+	}
 	for i := n; i < len(tr.Events); i++ {
 		if err := q.HandleEvent(&tr.Events[i]); err != nil {
 			t.Fatalf("resumed event %d: %v", i, err)
@@ -41,6 +55,20 @@ func runSplit(t *testing.T, tr *trace.Trace, cfg Config, n int) *Profiles {
 		t.Fatal(err)
 	}
 	return ps
+}
+
+// leafCounts returns the materialized leaf chunks of every shadow table of
+// p, keyed by table ("wts", "wkind", "ts<thread>").
+func leafCounts(p *Profiler) map[string]int {
+	out := make(map[string]int)
+	if p.wts != nil {
+		out["wts"] = p.wts.LeafChunks()
+		out["wkind"] = p.wkind.LeafChunks()
+	}
+	for id, t := range p.threads {
+		out[fmt.Sprintf("ts%d", id)] = t.ts.LeafChunks()
+	}
+	return out
 }
 
 // profilesEquivalent compares two Profiles structurally (same package, so
@@ -150,5 +178,163 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 	if _, _, err := ResumeProfiler(&buf, RMSOnlyConfig()); err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Errorf("ResumeProfiler with mismatched config = %v, want refusal", err)
+	}
+}
+
+// cellsState returns a profiler that has read n cells and written n cells
+// of one leaf chunk inside a single open activation per thread, so states
+// built for different n differ only in their number of non-zero cells.
+func cellsState(t *testing.T, n int) *Profiler {
+	t.Helper()
+	b := trace.NewBuilder()
+	for id := trace.ThreadID(1); id <= 2; id++ {
+		th := b.Thread(id)
+		th.Call("touch")
+		th.Read(trace.Addr(id)<<20, uint32(n))
+		th.Write(trace.Addr(id)<<20+4096, uint32(n))
+	}
+	tr := b.Trace()
+	p := NewProfiler(tr.Symbols, DefaultConfig())
+	if err := p.Feed(tr); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCheckpointAllocsIndependentOfCells pins the encoder's cost model: a
+// checkpoint written into a reused buffer allocates per leaf chunk, thread
+// and profile, never per cell, so a state with 4× the non-zero cells in the
+// same chunks allocates exactly as much.
+func TestCheckpointAllocsIndependentOfCells(t *testing.T) {
+	const n = 256
+	allocs := func(p *Profiler) float64 {
+		var buf bytes.Buffer
+		return testing.AllocsPerRun(20, func() {
+			buf.Reset()
+			if err := p.WriteCheckpoint(&buf, StreamState{EventsDelivered: 9}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := cellsState(t, n), cellsState(t, 4*n)
+	if !reflect.DeepEqual(leafCounts(small), leafCounts(large)) {
+		t.Fatalf("states differ in leaf chunks: %v vs %v", leafCounts(small), leafCounts(large))
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("WriteCheckpoint allocates %.0f times for %d cells per table but %.0f for %d", a, n, b, 4*n)
+	}
+}
+
+// TestCheckpointRejectsMalformedRuns feeds hand-built table sections to the
+// run decoder: every malformation wraps ErrCheckpointCorrupt, and none is
+// stored from — in particular a huge run length over a short payload is
+// refused before a single leaf chunk is materialized.
+func TestCheckpointRejectsMalformedRuns(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	// leaves is how many chunks the valid prefix may materialize: none
+	// when the first run header is already malformed.
+	cases := map[string]struct {
+		data   []byte
+		leaves int
+	}{
+		"truncated address":       {[]byte{0x80}, 0},
+		"truncated length":        {append(uv(5), 0x80), 0},
+		"missing length":          {uv(5), 0},
+		"huge run, short payload": {uv(0, 1<<40, 1, 1, 1), 0},
+		"zero-length run":         {uv(0, 0), 0},
+		"crosses a leaf chunk":    {uv(4095, 2, 1, 1), 0},
+		"truncated value":         {append(uv(0, 2, 1), 0x80), 1},
+		"zero value":              {uv(0, 1, 0), 0},
+		"address overflow":        {append(uv(1<<63, 1, 1), uv(1<<63, 1, 1)...), 1},
+		"run past the top":        {append(uv(1<<64-1, 1, 1), uv(0, 1, 1)...), 1},
+	}
+	for name, c := range cases {
+		tab := shadow.New[uint64]()
+		err := loadTable(c.data, tab, binary.Uvarint)
+		if !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: loadTable = %v, want ErrCheckpointCorrupt", name, err)
+		}
+		if tab.LeafChunks() > c.leaves {
+			t.Errorf("%s: %d leaf chunks materialized, at most %d allowed", name, tab.LeafChunks(), c.leaves)
+		}
+	}
+	// A well-formed table: two runs split at a leaf boundary (gap 0).
+	tab := shadow.New[uint64]()
+	if err := loadTable(uv(4094, 2, 7, 8, 0, 1, 9), tab, binary.Uvarint); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Load(4094) != 7 || tab.Load(4095) != 8 || tab.Load(4096) != 9 || tab.LeafChunks() != 2 {
+		t.Errorf("leaf-boundary runs decoded wrongly")
+	}
+}
+
+// TestCheckpointRejectsOtherVersions: a version-1 checkpoint (or any other
+// version) is unusable, reported as ErrCheckpointCorrupt so the daemon
+// discards it and the session starts over.
+func TestCheckpointRejectsOtherVersions(t *testing.T) {
+	p := NewProfiler(trace.NewSymbolTable(), DefaultConfig())
+	var buf bytes.Buffer
+	if err := p.WriteCheckpoint(&buf, StreamState{}); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.Bytes()
+	doc[len(checkpointMagic)] = 1
+	_, _, err := ResumeProfiler(bytes.NewReader(doc), DefaultConfig())
+	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported checkpoint version 1") {
+		t.Errorf("ResumeProfiler on a v1 header = %v, want unsupported-version ErrCheckpointCorrupt", err)
+	}
+	if _, err := ReadCheckpointState(bytes.NewReader(doc), DefaultConfig()); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("ReadCheckpointState on a v1 header = %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// TestCheckpointRejectsMalformedSections covers the payload framing around
+// the runs: trailing bytes, a missing thread table, and a write shadow in
+// an rms-only checkpoint, each under a valid CRC.
+func TestCheckpointRejectsMalformedSections(t *testing.T) {
+	tr := trace.Random(trace.RandomConfig{Seed: 5, Ops: 80, Threads: 2})
+	write := func(cfg Config) []byte {
+		p := NewProfiler(tr.Symbols, cfg)
+		if err := p.Feed(tr); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := p.WriteCheckpoint(&buf, StreamState{}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()[ckptHeaderLen:]
+	}
+	full := write(DefaultConfig())
+	rmsOnly := write(RMSOnlyConfig())
+	// The rms-only document's empty wts section sits right after the
+	// envelope; give it one well-formed run.
+	envEnd := 4 + int(binary.LittleEndian.Uint32(rmsOnly))
+	withWts := append([]byte{}, rmsOnly[:envEnd]...)
+	withWts = binary.LittleEndian.AppendUint32(withWts, 3)
+	withWts = append(withWts, 0, 1, 1)
+	withWts = append(withWts, rmsOnly[envEnd+4:]...)
+	cases := []struct {
+		name    string
+		payload []byte
+		cfg     Config
+	}{
+		{"trailing bytes", append(append([]byte{}, full...), 0), DefaultConfig()},
+		{"truncated thread table", full[:len(full)-1], DefaultConfig()},
+		{"write shadow in rms-only", withWts, RMSOnlyConfig()},
+	}
+	for _, c := range cases {
+		doc := frameCheckpoint(c.payload)
+		if _, _, err := ResumeProfiler(bytes.NewReader(doc), c.cfg); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: ResumeProfiler = %v, want ErrCheckpointCorrupt", c.name, err)
+		}
+		if _, err := ReadCheckpointState(bytes.NewReader(doc), c.cfg); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: ReadCheckpointState = %v, want ErrCheckpointCorrupt", c.name, err)
+		}
 	}
 }

@@ -121,6 +121,8 @@ type ShardedProfiler struct {
 	// are single-goroutine by contract, so the engine keeps this plain
 	// mirror instead, written only by the serial fold between windows.
 	baseWrites []map[trace.Addr]writeRec
+	// ckptBuf is WriteCheckpoint's encoding buffer, reused across calls.
+	ckptBuf []byte
 	// hist is the merged per-window write-history index, read-only during
 	// pass B.
 	hist []map[trace.Addr][]writeRec

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"aprof/internal/shadow"
 	"aprof/internal/trace"
 )
 
@@ -146,11 +147,12 @@ func (sp *ShardedProfiler) WriteCheckpoint(w io.Writer, stream StreamState) erro
 			byKey[k] = prof
 		}
 	}
+	ckThreads, states := dumpThreadsCkpt(threads)
 	data := checkpointData{
 		Cfg:          fingerprint(sp.cfg),
 		Count:        sp.count,
 		Symbols:      sp.syms.Names(),
-		Threads:      dumpThreadsCkpt(threads),
+		Threads:      ckThreads,
 		Profiles:     dumpProfilesCkpt(byKey),
 		Events:       sp.events,
 		Renumberings: sp.renumberings,
@@ -163,36 +165,34 @@ func (sp *ShardedProfiler) WriteCheckpoint(w io.Writer, stream StreamState) erro
 		NextEventCheck: 0,
 		Stream:         stream,
 	}
+	var wts *shadow.Table[uint64]
+	var wkind *shadow.Table[uint8]
 	if sp.hasWts {
-		data.WTS, data.WKind = sp.dumpBaseWrites()
+		wts, wkind = sp.baseWriteTables()
 	}
-	if err := encodeCheckpoint(w, &data); err != nil {
+	var err error
+	if sp.ckptBuf, err = encodeCheckpoint(w, sp.ckptBuf, &data, wts, wkind, states); err != nil {
 		return err
 	}
 	sp.obs.observeCkptWrite(time.Since(start))
 	return nil
 }
 
-// dumpBaseWrites flattens the write mirror into the checkpoint cell dumps,
-// sorted by address like the sequential table dumps. The mirror holds
-// exactly the non-zero cells of the sequential wts/wkind tables at the
-// window boundary: every recorded write carries a non-zero count (the
-// counter starts at 1) and a non-none kind.
-func (sp *ShardedProfiler) dumpBaseWrites() ([]ckptCell, []ckptCell8) {
-	n := 0
-	for _, m := range sp.baseWrites {
-		n += len(m)
-	}
-	wts := make([]ckptCell, 0, n)
-	wkind := make([]ckptCell8, 0, n)
+// baseWriteTables rebuilds the sequential wts/wkind tables from the write
+// mirror, so the sharded checkpoint goes through the same leaf-run encoder
+// as the sequential one. The mirror holds exactly the non-zero cells of the
+// sequential tables at the window boundary — every recorded write carries a
+// non-zero count (the counter starts at 1) and a non-none kind — so the
+// rebuilt tables hold the same cells in the same leaves and encode to the
+// same bytes, without sorting the mirror's map order.
+func (sp *ShardedProfiler) baseWriteTables() (*shadow.Table[uint64], *shadow.Table[uint8]) {
+	wts, wkind := shadow.New[uint64](), shadow.New[uint8]()
 	for _, m := range sp.baseWrites {
 		for a, rec := range m {
-			wts = append(wts, ckptCell{Addr: uint64(a), Val: rec.count})
-			wkind = append(wkind, ckptCell8{Addr: uint64(a), Val: rec.kind})
+			wts.Store(a, rec.count)
+			wkind.Store(a, rec.kind)
 		}
 	}
-	sort.Slice(wts, func(i, j int) bool { return wts[i].Addr < wts[j].Addr })
-	sort.Slice(wkind, func(i, j int) bool { return wkind[i].Addr < wkind[j].Addr })
 	return wts, wkind
 }
 

@@ -23,6 +23,7 @@ package profio
 // and corruption totals — byte-identical to an uninterrupted run.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,6 +33,7 @@ import (
 
 	"aprof/internal/core"
 	"aprof/internal/obs"
+	"aprof/internal/repo/backend"
 	"aprof/internal/trace"
 )
 
@@ -301,6 +303,7 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 	// final checkpoint captures when the run is interrupted.
 	profilerBroken := false
 	lastState := base
+	var ckptBuf bytes.Buffer
 	batchIndex := 0
 	for b := range full {
 		if profileErr == nil {
@@ -328,7 +331,7 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 				lastState.Corruption.Merge(b.stats)
 				batchIndex++
 				if opts.CheckpointPath != "" && batchIndex%ckptEvery == 0 {
-					if err := writeCheckpointFile(p, opts.CheckpointPath, lastState); err != nil {
+					if err := writeCheckpointFile(p, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
 						profileErr = err
 						cancel()
 					} else if so != nil {
@@ -358,7 +361,7 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 		// interruptions, preserve the last batch boundary; a checkpoint-write
 		// failure is reported alongside the abort reason, never silently.
 		if opts.FinalCheckpoint && opts.CheckpointPath != "" && !profilerBroken {
-			if err := writeCheckpointFile(p, opts.CheckpointPath, lastState); err != nil {
+			if err := writeCheckpointFile(p, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
 				runErr = errors.Join(runErr, err)
 			} else if so != nil {
 				so.checkpoints.Inc()
@@ -485,6 +488,7 @@ func runShardedPipeline(ctx context.Context, br *trace.BinaryReader, sp *core.Sh
 	var profileErr error
 	profilerBroken := false
 	lastState := base
+	var ckptBuf bytes.Buffer
 	batchIndex := 0
 
 	window := make([]trace.Event, 0, ckptEvery*batchSize)
@@ -515,7 +519,7 @@ func runShardedPipeline(ctx context.Context, br *trace.BinaryReader, sp *core.Sh
 		lastState = core.StreamState{EventsDelivered: winTail.delivered, Corruption: base.Corruption}
 		lastState.Corruption.Merge(winTail.stats)
 		if opts.CheckpointPath != "" && batchIndex%ckptEvery == 0 {
-			if err := writeCheckpointFile(sp, opts.CheckpointPath, lastState); err != nil {
+			if err := writeCheckpointFile(sp, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
 				profileErr = err
 				cancel()
 				return
@@ -565,7 +569,7 @@ func runShardedPipeline(ctx context.Context, br *trace.BinaryReader, sp *core.Sh
 	}
 	if runErr != nil {
 		if opts.FinalCheckpoint && opts.CheckpointPath != "" && !profilerBroken {
-			if err := writeCheckpointFile(sp, opts.CheckpointPath, lastState); err != nil {
+			if err := writeCheckpointFile(sp, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
 				runErr = errors.Join(runErr, err)
 			} else if so != nil {
 				so.checkpoints.Inc()
@@ -589,26 +593,18 @@ type checkpointWriter interface {
 	WriteCheckpoint(w io.Writer, state core.StreamState) error
 }
 
-// writeCheckpointFile writes the checkpoint atomically: a torn write leaves
-// either the previous complete checkpoint or a temp file, never a partial
-// file under the real name (and the CRC in the format catches the rest).
-func writeCheckpointFile(p checkpointWriter, path string, state core.StreamState) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("profio: creating checkpoint: %w", err)
-	}
-	if err := p.WriteCheckpoint(f, state); err != nil {
-		f.Close()
-		os.Remove(tmp)
+// writeCheckpointFile encodes the checkpoint into buf (reused across the
+// run's checkpoints) and installs it with backend.WriteAtomic: temp file,
+// fsync, rename, directory fsync. A crash at any instant leaves the previous
+// complete checkpoint, the new one, or none under path — never a partial
+// file — and an acknowledged checkpoint survives power loss.
+func writeCheckpointFile(p checkpointWriter, path string, state core.StreamState, buf *bytes.Buffer) error {
+	buf.Reset()
+	if err := p.WriteCheckpoint(buf, state); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := backend.WriteAtomic(path, buf.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("profio: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("profio: installing checkpoint: %w", err)
 	}
 	return nil
 }

@@ -13,7 +13,15 @@
 // cell; chunks are allocated on first Store of a non-observed region.
 package shadow
 
-import "aprof/internal/trace"
+import (
+	"slices"
+
+	"aprof/internal/trace"
+)
+
+// LeafCells is the number of cells in one leaf chunk, the unit in which
+// tables materialize memory. Leaf chunks start at multiples of LeafCells.
+const LeafCells = lowSize
 
 const (
 	lowBits  = 12 // cells per leaf chunk: 4096
@@ -150,6 +158,27 @@ func (t *Table[T]) ForEach(isZero func(T) bool, fn func(trace.Addr, T)) {
 					continue
 				}
 				fn(trace.Addr(chunkBase|uint64(ci)), v)
+			}
+		}
+	}
+}
+
+// Leaves calls fn for every materialized leaf chunk in increasing address
+// order, with the address of the chunk's first cell and the chunk's cells.
+// cells aliases the table's storage: fn may read it during the call but must
+// neither retain nor modify it.
+func (t *Table[T]) Leaves(fn func(base trace.Addr, cells []T)) {
+	keys := make([]uint64, 0, len(t.top))
+	for key := range t.top {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		n := t.top[key]
+		base := key << topShift
+		for li, lf := range n.leaves {
+			if lf != nil {
+				fn(trace.Addr(base|uint64(li)<<lowBits), lf.cells[:])
 			}
 		}
 	}

@@ -101,6 +101,35 @@ func TestForEachVisitsExactlyNonZero(t *testing.T) {
 	}
 }
 
+// TestLeavesAddressOrder: Leaves visits every materialized chunk exactly
+// once, in increasing address order across level-1 nodes (stored in a map),
+// with the chunk's base address and its cells.
+func TestLeavesAddressOrder(t *testing.T) {
+	m := New[uint8]()
+	addrs := []trace.Addr{1 << 50, 7, 1 << 30, 4096 + 5, 3<<40 + 4095, 1<<30 + 2*LeafCells}
+	for i, a := range addrs {
+		m.Store(a, uint8(i+1))
+	}
+	var bases []trace.Addr
+	m.Leaves(func(base trace.Addr, cells []uint8) {
+		if len(cells) != LeafCells || base%LeafCells != 0 {
+			t.Fatalf("leaf at %#x: %d cells", base, len(cells))
+		}
+		if len(bases) > 0 && base <= bases[len(bases)-1] {
+			t.Fatalf("leaf %#x visited after %#x", base, bases[len(bases)-1])
+		}
+		bases = append(bases, base)
+		for i, a := range addrs {
+			if a-a%LeafCells == base && cells[a%LeafCells] != uint8(i+1) {
+				t.Errorf("cell %#x = %d, want %d", a, cells[a%LeafCells], i+1)
+			}
+		}
+	})
+	if len(bases) != len(addrs) || len(bases) != m.LeafChunks() {
+		t.Errorf("Leaves visited %d chunks, table has %d", len(bases), m.LeafChunks())
+	}
+}
+
 func TestUpdateAll(t *testing.T) {
 	m := New[uint64]()
 	m.Store(1, 10)
