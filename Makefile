@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz faults shard-equivalence suppress-equivalence chaos chaos-cluster chaos-replica store-torture bench bench-baseline bench-all cover experiments examples clean
+.PHONY: all build test vet lint race fuzz faults suppress-equivalence chaos chaos-cluster chaos-replica store-torture bench bench-baseline bench-all cover experiments examples clean
 
 all: build test
 
@@ -25,8 +25,8 @@ test: vet
 	$(GO) test ./...
 
 # Full suite under the race detector: the concurrent pipeline (profio
-# streaming, RunConcurrent, MergeRunsParallel, experiment pool) must be
-# data-race free.
+# streaming, the RunConcurrent pool, experiment pool) must be data-race
+# free.
 race: vet
 	$(GO) test -race ./...
 
@@ -38,7 +38,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzReadText -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzReadProfiles -fuzztime $(FUZZTIME) ./internal/profio
-	$(GO) test -run xxx -fuzz FuzzProfileSharded -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz FuzzProfileNaive -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzResumeCheckpoint -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzEffects -fuzztime $(FUZZTIME) ./internal/vm/analysis
 	$(GO) test -run xxx -fuzz FuzzPackDecode -fuzztime $(FUZZTIME) ./internal/repo
@@ -51,13 +51,6 @@ faults:
 	$(GO) test ./internal/faultio/
 	$(GO) test -run 'Fault|Retry|Resume|Kill|Lenient|Corrupt|Checkpoint' \
 		./internal/trace ./internal/core ./internal/profio ./cmd/aprof
-
-# Sharded multi-core engine vs the sequential profiler: deep-equal and
-# byte-identity differential sweeps, cross-mode checkpoint resume, and the
-# shard fuzz corpus — under the race detector (the engine is the most
-# goroutine-dense code in the repo).
-shard-equivalence:
-	$(GO) test -race -count=1 -run 'Shard' ./internal/core ./internal/profio
 
 # Instrumentation redundancy suppression vs the full per-instruction
 # tracer: the differential harness proves suppressed traces produce

@@ -148,18 +148,6 @@ func ProfileTrace(tr *Trace, cfg Config) (*Profiles, error) {
 	return core.Run(tr, cfg)
 }
 
-// ProfileTraceSharded profiles one merged trace across nShards cores: the
-// trace's threads are partitioned over per-shard analysis workers whose
-// cross-thread induced first-reads resolve against a merged write-history
-// index. Output is byte-identical (under WriteProfiles) to ProfileTrace for
-// every shard count — parallelism changes wall-clock only, never results.
-// Shard counts below 2, and configurations the sharded engine does not
-// support (counter renumbering, event/memory limits, OnActivation), run
-// sequentially. For streaming input, set StreamOptions.Shards instead.
-func ProfileTraceSharded(tr *Trace, cfg Config, nShards int) (*Profiles, error) {
-	return core.ProfileSharded(tr, cfg, nShards)
-}
-
 // ProfileProgram compiles and executes a MiniLang program under the
 // instrumented VM, then profiles the resulting trace. It returns both the
 // profiles and the VM result (program output, executed basic blocks).
@@ -271,14 +259,6 @@ func WriteHTMLReport(w io.Writer, ps *Profiles, opts HTMLReportOptions) error {
 // input-size range, improving the cost-function fits.
 func MergeRuns(runs ...*Profiles) *Profiles { return core.MergeRuns(runs...) }
 
-// MergeRunsParallel is MergeRuns executed as a tree reduction by a pool of
-// workers (<= 0 uses GOMAXPROCS): O(log n) merge depth instead of a left
-// fold, for merging the profiles of many runs on multi-core hosts. The
-// result is equivalent to MergeRuns (profile merging is associative).
-func MergeRunsParallel(workers int, runs ...*Profiles) *Profiles {
-	return core.MergeRunsParallel(workers, runs...)
-}
-
 // Job produces one trace for RunConcurrent. Use TraceJob and ProgramJob for
 // the common cases, or write a Job that decodes a trace file.
 type Job = core.Job
@@ -302,7 +282,7 @@ func ProgramJob(src string, vmOpts VMOptions) Job {
 
 // RunConcurrent profiles N independent traces or VM programs in parallel
 // with a worker pool (workers <= 0 uses GOMAXPROCS) and merges the per-run
-// profiles with a parallel tree reduction. Every trace is profiled by the
+// profiles with MergeRuns in job order. Every trace is profiled by the
 // exact sequential algorithm, so per-trace results are identical to
 // ProfileTrace; only orchestration is parallel. The first error (lowest job
 // index) cancels outstanding work and is returned.

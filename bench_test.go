@@ -10,7 +10,6 @@ package aprof
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"aprof/internal/core"
@@ -209,31 +208,6 @@ func BenchmarkStreamPipelined(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamSharded measures the sharded multi-core engine behind the
-// same streaming entry point (-shards N on the CLI). Output is byte-
-// identical to BenchmarkStreamPipelined's; on a multi-core host pass B of
-// each window runs one goroutine per shard. On a single core the sharded
-// runs measure pure coordination overhead instead of speedup.
-func BenchmarkStreamSharded(b *testing.B) {
-	data := benchStreamBytes(b)
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				ps, err := ProfileTraceStreamContext(context.Background(), bytes.NewReader(data),
-					DefaultConfig(), StreamOptions{Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ps.Events == 0 {
-					b.Fatal("empty profile")
-				}
-			}
-		})
-	}
-}
-
 // benchMergeRuns profiles n independent random traces once, for the merge
 // benchmarks.
 func benchMergeRuns(b *testing.B, n int) []*Profiles {
@@ -257,19 +231,6 @@ func BenchmarkMergeRunsFold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ps := MergeRuns(runs...); ps.Events == 0 {
-			b.Fatal("empty merge")
-		}
-	}
-}
-
-// BenchmarkMergeRunsParallel is the pairwise tree reduction on the worker
-// pool; byte-identical output to the fold (verified by pipeline_test.go).
-func BenchmarkMergeRunsParallel(b *testing.B) {
-	runs := benchMergeRuns(b, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ps := MergeRunsParallel(0, runs...); ps.Events == 0 {
 			b.Fatal("empty merge")
 		}
 	}

@@ -49,7 +49,6 @@ func main() {
 		contexts = flag.Int("contexts", 0, "report the N hottest calling contexts (enables context-sensitive profiling)")
 		htmlOut  = flag.String("html", "", "write a self-contained HTML report to this file")
 
-		shards      = flag.Int("shards", 1, "profile on this many per-thread shards in parallel (output is byte-identical to -shards 1)")
 		lenient     = flag.Bool("lenient", false, "with -trace: skip corrupt APT2 frames instead of aborting, reporting what was lost")
 		faultPolicy = flag.String("fault-policy", "strict", "malformed-event handling: strict, skip, or count")
 		checkpoint  = flag.String("checkpoint", "", "with -trace: periodically write a resumable checkpoint to this file")
@@ -131,7 +130,6 @@ func main() {
 				Lenient:         *lenient,
 				CheckpointPath:  *checkpoint,
 				CheckpointEvery: *ckptEvery,
-				Shards:          *shards,
 			}
 			if *resume != "" {
 				if opts.CheckpointPath == "" {
@@ -178,7 +176,7 @@ func main() {
 
 	if ps == nil {
 		var err error
-		ps, err = aprof.ProfileTraceSharded(tr, cfg, *shards)
+		ps, err = aprof.ProfileTrace(tr, cfg)
 		if err != nil {
 			fatal(err)
 		}

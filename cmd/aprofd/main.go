@@ -75,7 +75,6 @@ func main() {
 		maxEvents   = flag.Uint64("max-session-events", 0, "per-session delivered-event cap (0 = unlimited)")
 		batch       = flag.Int("batch", 0, "pipeline batch size (0 = default)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "events between periodic checkpoints (0 = default)")
-		shards      = flag.Int("shards", 1, "profile each session on this many per-thread shards (output is byte-identical to -shards 1)")
 		drainT      = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget before in-flight connections are force-closed")
 
 		clusterPeers = flag.String("cluster-peers", "", "comma-separated debug HTTP addresses of the other cluster nodes; /profiles/ serves the merged cluster view")
@@ -184,7 +183,6 @@ func main() {
 		Config:           cfg,
 		BatchSize:        *batch,
 		CheckpointEvery:  *ckptEvery,
-		Shards:           *shards,
 		Obs:              reg,
 		Logf:             logger.Printf,
 	}

@@ -225,9 +225,7 @@ func (p *Profiler) WriteCheckpoint(w io.Writer, stream StreamState) error {
 
 // dumpThreadsCkpt serializes thread states sorted by thread id, returning
 // the envelope entries and, in the same order, the states whose ts tables
-// follow the envelope. Shared by the sequential and sharded checkpoint
-// writers (the sharded engine passes the union of its per-shard thread
-// maps).
+// follow the envelope.
 func dumpThreadsCkpt(threads map[trace.ThreadID]*threadState) ([]ckptThread, []*threadState) {
 	states := make([]*threadState, 0, len(threads))
 	for _, t := range threads {
@@ -253,8 +251,7 @@ func dumpThreadsCkpt(threads map[trace.ThreadID]*threadState) ([]ckptThread, []*
 	return out, states
 }
 
-// dumpProfilesCkpt serializes profiles sorted by (routine, thread). Shared
-// by the sequential and sharded checkpoint writers.
+// dumpProfilesCkpt serializes profiles sorted by (routine, thread).
 func dumpProfilesCkpt(byKey map[Key]*Profile) []ckptProfile {
 	keys := make([]Key, 0, len(byKey))
 	for k := range byKey {

@@ -126,6 +126,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 		})
 	}
+	// Every cut of the crafted boundary traces: checkpoints land between a
+	// write and the cross-thread read it induces, between a same-counter
+	// kernel/thread write pair, and inside depth-capped subtrees.
+	t.Run("every-cut", func(t *testing.T) {
+		for name, tc := range map[string]struct {
+			tr  *trace.Trace
+			cfg Config
+		}{
+			"handoff":    {handoffTrace(), DefaultConfig()},
+			"same-count": {sameCountWrites(), DefaultConfig()},
+			"deep-stacks": {deepStacks(), Config{ThreadInput: true, ExternalInput: true,
+				Limits: Limits{MaxDepth: 3}}},
+		} {
+			want, err := Run(tc.tr, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n <= len(tc.tr.Events); n++ {
+				if got := runSplit(t, tc.tr, tc.cfg, n); !profilesEquivalent(want, got) {
+					t.Errorf("%s: cut at %d/%d events: resumed profiles differ", name, n, len(tc.tr.Events))
+				}
+			}
+		}
+	})
 }
 
 // RandomTraceConfig derives a deterministic per-config trace seed.

@@ -5,8 +5,8 @@ package core
 // multi-run mode of the paper's introduction — have no shared state at all:
 // each run gets its own Profiler, and the per-run Profiles merge by routine
 // name afterwards. RunConcurrent exploits that with a worker pool over the
-// runs and a tree-reduction merge, making multi-run profiling scale with
-// cores while keeping every per-trace result identical to Run.
+// runs, making multi-run profiling scale with cores while keeping every
+// per-trace result identical to Run.
 
 import (
 	"context"
@@ -26,8 +26,8 @@ import (
 type Job func(ctx context.Context) (*trace.Trace, error)
 
 // RunConcurrent profiles the traces produced by jobs with a pool of workers
-// and merges the per-run profiles with a parallel tree reduction
-// (MergeRunsParallel). workers <= 0 uses GOMAXPROCS.
+// and folds the per-run profiles with MergeRuns. workers <= 0 uses
+// GOMAXPROCS.
 //
 // Determinism: each trace is profiled by the exact sequential algorithm
 // (Run), so per-trace results never depend on scheduling; the merged result
@@ -98,51 +98,7 @@ func RunConcurrent(ctx context.Context, jobs []Job, cfg Config, workers int) (*P
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return MergeRunsParallel(workers, runs...), nil
-}
-
-// MergeRunsParallel combines the profiles of several runs like MergeRuns,
-// but pairs runs level by level (a tree reduction of O(log n) depth instead
-// of the left fold's O(n)) with up to workers merges in flight per level.
-// Profile merging is associative — sums, min/max statistics and the
-// name-keyed reconciliation are all order-insensitive — so the result is
-// semantically identical to MergeRuns and, for profiles without point-count
-// caps, byte-identical under profio.Write's canonical ordering. (With
-// Config.MaxPointsPerProfile set, intermediate bucketing decisions may
-// quantize plot points at marginally different boundaries; the aggregate
-// counters still agree exactly.)
-func MergeRunsParallel(workers int, runs ...*Profiles) *Profiles {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(runs) < 2 || workers == 1 {
-		return MergeRuns(runs...)
-	}
-	cur := runs
-	sem := make(chan struct{}, workers)
-	for len(cur) > 1 {
-		pairs := len(cur) / 2
-		next := make([]*Profiles, (len(cur)+1)/2)
-		if len(cur)%2 == 1 {
-			// The odd run passes through to the next level untouched;
-			// with len(cur) >= 2 the final level always merges a pair, so
-			// the returned Profiles is always freshly allocated.
-			next[pairs] = cur[len(cur)-1]
-		}
-		var wg sync.WaitGroup
-		for j := 0; j < pairs; j++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(j int) {
-				defer wg.Done()
-				next[j] = MergeRuns(cur[2*j], cur[2*j+1])
-				<-sem
-			}(j)
-		}
-		wg.Wait()
-		cur = next
-	}
-	return cur[0]
+	return MergeRuns(runs...), nil
 }
 
 // sortedKeys returns run's profile keys ordered by (routine name, thread),

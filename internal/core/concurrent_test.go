@@ -3,73 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"aprof/internal/trace"
 )
-
-func randomRuns(t *testing.T, n int, cfg Config) []*Profiles {
-	t.Helper()
-	runs := make([]*Profiles, n)
-	for i := range runs {
-		tr := trace.Random(trace.RandomConfig{Seed: int64(i + 1), Ops: 400})
-		ps, err := Run(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = ps
-	}
-	return runs
-}
-
-// TestMergeRunsParallelMatchesFold checks the tree reduction against the
-// left fold for run counts hitting every tree shape (powers of two, odd
-// tails, single run).
-func TestMergeRunsParallelMatchesFold(t *testing.T) {
-	runs := randomRuns(t, 9, DefaultConfig())
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9} {
-		for _, workers := range []int{1, 2, 4} {
-			fold := MergeRuns(runs[:n]...)
-			tree := MergeRunsParallel(workers, runs[:n]...)
-			if !reflect.DeepEqual(summarize(fold), summarize(tree)) {
-				t.Errorf("n=%d workers=%d: tree reduction differs from left fold", n, workers)
-			}
-			if fold.Events != tree.Events || fold.Renumberings != tree.Renumberings {
-				t.Errorf("n=%d workers=%d: run counters differ", n, workers)
-			}
-		}
-	}
-}
-
-// TestMergeRunsParallelContexts checks the context-sensitive merge survives
-// the tree reduction: per-context-path profiles must agree with the fold.
-func TestMergeRunsParallelContexts(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ContextSensitive = true
-	runs := randomRuns(t, 5, cfg)
-	fold := MergeRuns(runs...)
-	tree := MergeRunsParallel(4, runs...)
-	if fold.ByContext == nil || tree.ByContext == nil {
-		t.Fatal("context-sensitive merge dropped ByContext")
-	}
-	// Compare per-path aggregates (context ids are representation detail).
-	flatten := func(ps *Profiles) map[string]uint64 {
-		out := make(map[string]uint64)
-		for key, p := range ps.ByContext {
-			path := ""
-			for id := key.Context; id != RootContext; id = ps.Contexts[id].Parent {
-				path = "/" + ps.Symbols.Name(ps.Contexts[id].Routine) + path
-			}
-			out[fmt.Sprintf("%s@%d", path, key.Thread)] += p.SumDRMS + p.Calls<<32
-		}
-		return out
-	}
-	if !reflect.DeepEqual(flatten(fold), flatten(tree)) {
-		t.Error("context profiles differ between fold and tree reduction")
-	}
-}
 
 // TestRunConcurrentMatchesSequential checks the worker-pool orchestration
 // end to end: profiling N traces concurrently must equal profiling them

@@ -42,11 +42,9 @@ func leafBoundaryTrace() *trace.Trace {
 
 // checkpointFuzzSeeds returns the payloads (header stripped) of real
 // checkpoints taken under DefaultConfig: a small multi-thread trace
-// checkpointed mid-run by the sequential profiler, the same trace
-// checkpointed by the sharded engine at a later window boundary (after
-// checking it is byte-identical to the sequential one there), an empty
-// profiler, and the leaf-boundary trace mid-activation. The same payloads
-// back the committed corpus under testdata/fuzz/FuzzResumeCheckpoint.
+// checkpointed mid-run at two cut points, an empty profiler, and the
+// leaf-boundary trace mid-activation. The same payloads back the committed
+// corpus under testdata/fuzz/FuzzResumeCheckpoint.
 func checkpointFuzzSeeds(tb testing.TB) [][]byte {
 	cfg := DefaultConfig()
 	seq := func(tr *trace.Trace, n int) []byte {
@@ -63,25 +61,10 @@ func checkpointFuzzSeeds(tb testing.TB) [][]byte {
 		return buf.Bytes()
 	}
 	tr := trace.Random(trace.RandomConfig{Seed: 31, Threads: 3, Ops: 160, Cells: 24})
-	cut := 2 * len(tr.Events) / 3
-	sp, err := NewShardedProfiler(tr.Symbols, cfg, 2)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := sp.FeedWindow(tr.Events[:cut]); err != nil {
-		tb.Fatal(err)
-	}
-	var sharded bytes.Buffer
-	if err := sp.WriteCheckpoint(&sharded, StreamState{EventsDelivered: uint64(cut)}); err != nil {
-		tb.Fatal(err)
-	}
-	if !bytes.Equal(sharded.Bytes(), seq(tr, cut)) {
-		tb.Fatal("sharded checkpoint differs from the sequential one at the same event")
-	}
 	var seeds [][]byte
 	for _, doc := range [][]byte{
 		seq(tr, len(tr.Events)/3),
-		sharded.Bytes(),
+		seq(tr, 2*len(tr.Events)/3),
 		seq(trace.Random(trace.RandomConfig{Seed: 31}), 0),
 		seq(leafBoundaryTrace(), 5),
 	} {

@@ -167,13 +167,6 @@ type Profiler struct {
 	// mode), mirroring aprof's lack of a global shadow memory.
 	wts   *shadow.Table[uint64]
 	wkind *shadow.Table[uint8]
-	// resolve, when non-nil, replaces the wts/wkind lookup of the induced
-	// first-read test: it must return the timestamp and writer kind of the
-	// latest global write to the cell (0, writerNone when never written).
-	// The sharded engine sets it on its per-shard profilers, whose own
-	// wts/wkind stay nil: cross-shard writes are resolved against a merged
-	// write-history index instead of live shadow tables (see shard.go).
-	resolve func(trace.Addr) (uint64, uint8)
 
 	threads map[trace.ThreadID]*threadState
 	ctx     *contextTable
@@ -433,14 +426,6 @@ func (p *Profiler) onCall(ev *trace.Event) error {
 	if err := p.tick(); err != nil {
 		return err
 	}
-	p.pushCall(ev)
-	return nil
-}
-
-// pushCall pushes the activation frame of a call event at the current
-// counter value (the caller has already ticked — or, on the sharded path,
-// assigned — the counter). Depth-limit overflow accounting included.
-func (p *Profiler) pushCall(ev *trace.Event) {
 	t := p.thread(ev.Thread)
 	t.cost = ev.Cost
 	if max := p.cfg.Limits.MaxDepth; max > 0 && (t.overflow > 0 || len(t.stack) >= max) {
@@ -448,7 +433,7 @@ func (p *Profiler) pushCall(ev *trace.Event) {
 		// pairs the dropped call with its future return.
 		t.overflow++
 		p.out.Drops.DepthOverflow++
-		return
+		return nil
 	}
 	f := frame{
 		rtn:       ev.Routine,
@@ -466,6 +451,7 @@ func (p *Profiler) pushCall(ev *trace.Event) {
 	if len(t.stack) > p.depthHWM {
 		p.depthHWM = len(t.stack)
 	}
+	return nil
 }
 
 func (p *Profiler) onReturn(ev *trace.Event) error {
@@ -567,26 +553,6 @@ func (p *Profiler) onRead(t *threadState, a trace.Addr) {
 				}
 			}
 		}
-	} else if p.resolve != nil {
-		// Sharded path: the latest global write comes from the merged
-		// cross-shard write-history index instead of live shadow tables.
-		// The index reconstructs wts/wkind exactly (latest write strictly
-		// before the current event in trace order), so the test below is
-		// the same test as above.
-		if w, kind := p.resolve(a); old < w {
-			switch kind {
-			case writerThread:
-				if p.cfg.ThreadInput {
-					induced = true
-					top.indThread++
-				}
-			case writerKernel:
-				if p.cfg.ExternalInput {
-					induced = true
-					top.indExternal++
-				}
-			}
-		}
 	}
 	if !induced && firstAccess {
 		// First read for the topmost activation; charge it and discharge
@@ -630,27 +596,21 @@ func (p *Profiler) onKernelToUser(ev *trace.Event) error {
 	if err := p.tick(); err != nil {
 		return err
 	}
-	p.kernelFill(ev)
-	return nil
-}
-
-// kernelFill is the post-tick body of the kernelToUser handler, shared with
-// the sharded path (which assigns the counter instead of ticking).
-func (p *Profiler) kernelFill(ev *trace.Event) {
 	t := p.thread(ev.Thread)
 	t.cost = ev.Cost
 	if p.wts == nil {
-		return
+		return nil
 	}
 	// The counter tick is kept even when the event is sampled out: the
 	// global count mirrors the event structure, not the metric state.
 	if p.sampledOut() {
-		return
+		return nil
 	}
 	ev.Cells(func(a trace.Addr) {
 		p.wts.Store(a, p.count)
 		p.wkind.Store(a, writerKernel)
 	})
+	return nil
 }
 
 // deepestAncestor returns the maximum index i such that stack[i].ts <= ts.

@@ -79,13 +79,20 @@ func TestObsMetamorphicRandom(t *testing.T) {
 			}
 			name += "/seed" + strconv.FormatInt(seed, 10)
 
-			reg := checkMetamorphic(t, name, buf.Bytes(), core.DefaultConfig(), StreamOptions{BatchSize: 256})
+			const batchSize = 256
+			reg := checkMetamorphic(t, name, buf.Bytes(), core.DefaultConfig(), StreamOptions{BatchSize: batchSize})
 
-			// The flow counters must agree with the profiler's own event
-			// accounting: sum(events_*) == len(trace).
+			// The flow counters must count every event and batch exactly
+			// once: sum(events_*) == len(trace) and batches == ⌈len/256⌉.
+			// Deterministic, so tier-1 gates the instrumentation on these
+			// instead of on wall-clock overhead.
 			snap := reg.Snapshot()
 			if got := snap.Scope(core.ObsScopeCore).CounterSum("events_"); got != uint64(tr.Len()) {
 				t.Errorf("%s: events counters sum to %d, trace has %d", name, got, tr.Len())
+			}
+			wantBatches := uint64((tr.Len() + batchSize - 1) / batchSize)
+			if got := snap.Scope(ObsScopeProfio).Counter("batches"); got != wantBatches {
+				t.Errorf("%s: profio batches = %d, want %d", name, got, wantBatches)
 			}
 		}
 	}

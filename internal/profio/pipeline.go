@@ -80,18 +80,6 @@ type StreamOptions struct {
 	// therefore loses nothing past the last batch instead of everything
 	// past the last periodic checkpoint.
 	FinalCheckpoint bool
-	// Shards, when > 1, profiles the stream on the sharded multi-core
-	// engine: events are consumed in windows of CheckpointEvery×BatchSize,
-	// each window analyzed by Shards per-thread shards in parallel
-	// (core.ProfileSharded). Output — profiles and checkpoint files — is
-	// byte-identical to the sequential pipeline. Configurations the sharded
-	// engine does not support (see core.CanShard) fall back to the
-	// sequential pipeline silently. Under sharding the pipeline works at
-	// window granularity: OnBatch fires once per window (with the
-	// cumulative batch index and delivered count at the window's end), and
-	// FinalCheckpoint captures the last window boundary. Periodic
-	// checkpoints land at the same batch indices as the sequential path.
-	Shards int
 }
 
 // eventBatch is the unit of work handed from the decoder to the profiler.
@@ -196,11 +184,6 @@ func ProfileStream(ctx context.Context, r io.Reader, cfg core.Config, opts Strea
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 && core.CanShard(cfg) {
-		if sp, err := core.NewShardedProfiler(br.Symbols(), cfg, opts.Shards); err == nil {
-			return runShardedPipeline(ctx, br, sp, opts, core.StreamState{}, cfg.Obs)
-		}
-	}
 	p := core.NewProfiler(br.Symbols(), cfg)
 	return runPipeline(ctx, br, p, opts, core.StreamState{}, cfg.Obs)
 }
@@ -232,15 +215,6 @@ func ResumeStream(ctx context.Context, r io.Reader, checkpointPath string, cfg c
 	// The skip re-detected exactly the corruption already accounted in the
 	// checkpointed stats; discard it so the totals are not double counted.
 	br.ResetStats()
-	if opts.Shards > 1 && core.CanShard(cfg) {
-		// Checkpoints are path-agnostic: a sequential-run checkpoint resumes
-		// on the sharded engine (and vice versa) because the APCK document is
-		// the same in both directions. The restored profiler's state is
-		// adopted shard-by-shard; it is not used directly afterwards.
-		if sp, err := core.NewShardedFromProfiler(p, opts.Shards); err == nil {
-			return runShardedPipeline(ctx, br, sp, opts, state, cfg.Obs)
-		}
-	}
 	return runPipeline(ctx, br, p, opts, state, cfg.Obs)
 }
 
@@ -382,10 +356,9 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 	return ps, nil
 }
 
-// startDecoder launches the decode stage shared by the sequential and
-// sharded pipelines: it parses events into recycled batches from free and
-// hands them over full, reporting its terminal status on decodeDone and
-// closing full when done.
+// startDecoder launches the decode stage: it parses events into recycled
+// batches from free and hands them over full, reporting its terminal status
+// on decodeDone and closing full when done.
 func startDecoder(ctx context.Context, br *trace.BinaryReader, so *streamObs, batchSize int, baseDelivered uint64, full chan<- *eventBatch, free <-chan *eventBatch, decodeDone chan<- error) {
 	go func() {
 		defer close(full)
@@ -450,155 +423,12 @@ func startDecoder(ctx context.Context, br *trace.BinaryReader, so *streamObs, ba
 	}()
 }
 
-// runShardedPipeline drives the decode stage into the sharded multi-core
-// engine. It shares the decoder with runPipeline but consumes at window
-// granularity: CheckpointEvery batches are accumulated (batch buffers are
-// recycled, so events are copied into the window) and fed to the engine as
-// one window, analyzed by Shards workers in parallel. Windows end exactly
-// where the sequential pipeline's periodic checkpoints land, so checkpoint
-// files — like the final profiles — are byte-identical to the sequential
-// path's.
-func runShardedPipeline(ctx context.Context, br *trace.BinaryReader, sp *core.ShardedProfiler, opts StreamOptions, base core.StreamState, reg *obs.Registry) (*core.Profiles, error) {
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	depth := opts.Depth
-	if depth <= 0 {
-		depth = 2
-	}
-	ckptEvery := opts.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = DefaultCheckpointEvery
-	}
-
-	so := newStreamObs(reg, base)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	full := make(chan *eventBatch, depth)
-	free := make(chan *eventBatch, depth+1)
-	for i := 0; i < depth+1; i++ {
-		free <- &eventBatch{events: make([]trace.Event, 0, batchSize)}
-	}
-	decodeDone := make(chan error, 1)
-	startDecoder(ctx, br, so, batchSize, base.EventsDelivered, full, free, decodeDone)
-
-	var profileErr error
-	profilerBroken := false
-	lastState := base
-	var ckptBuf bytes.Buffer
-	batchIndex := 0
-
-	window := make([]trace.Event, 0, ckptEvery*batchSize)
-	winBatches := 0
-	// winTail snapshots the stream accounting of the window's last batch —
-	// the state a checkpoint taken at the window's end must carry.
-	var winTail eventBatch
-
-	profileWindow := func() {
-		var profStart time.Time
-		if so != nil {
-			profStart = time.Now()
-		}
-		if err := sp.FeedWindow(window); err != nil {
-			profileErr = err
-			profilerBroken = true
-			cancel()
-			return
-		}
-		if so != nil {
-			so.profileUS.Observe(uint64(time.Since(profStart).Microseconds()))
-			// The delta-based batch accounting needs only the window's last
-			// snapshot; the batches counter still counts every batch.
-			so.publishBatch(&eventBatch{delivered: winTail.delivered, stats: winTail.stats, frames: winTail.frames, resyncs: winTail.resyncs})
-			so.batches.Add(uint64(winBatches - 1))
-			sp.PublishObs()
-		}
-		lastState = core.StreamState{EventsDelivered: winTail.delivered, Corruption: base.Corruption}
-		lastState.Corruption.Merge(winTail.stats)
-		if opts.CheckpointPath != "" && batchIndex%ckptEvery == 0 {
-			if err := writeCheckpointFile(sp, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
-				profileErr = err
-				cancel()
-				return
-			}
-			if so != nil {
-				so.checkpoints.Inc()
-			}
-		}
-		if opts.OnBatch != nil {
-			if err := opts.OnBatch(batchIndex, winTail.delivered); err != nil {
-				profileErr = err
-				cancel()
-				return
-			}
-		}
-		window = window[:0]
-		winBatches = 0
-	}
-
-	for b := range full {
-		if profileErr == nil {
-			window = append(window, b.events...)
-			winBatches++
-			winTail = eventBatch{delivered: b.delivered, stats: b.stats, frames: b.frames, resyncs: b.resyncs}
-			batchIndex++
-			if winBatches == ckptEvery {
-				profileWindow()
-			}
-		}
-		free <- b
-	}
-	decodeErr := <-decodeDone
-	// A trailing partial window — end of trace, or the prefix delivered
-	// before a decoder failure — is profiled like the sequential path
-	// profiles every delivered batch, so a final checkpoint loses nothing
-	// past the last delivered batch.
-	if profileErr == nil && len(window) > 0 {
-		profileWindow()
-	}
-
-	runErr := profileErr
-	if runErr == nil {
-		runErr = decodeErr
-	}
-	if runErr == nil {
-		runErr = ctx.Err()
-	}
-	if runErr != nil {
-		if opts.FinalCheckpoint && opts.CheckpointPath != "" && !profilerBroken {
-			if err := writeCheckpointFile(sp, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
-				runErr = errors.Join(runErr, err)
-			} else if so != nil {
-				so.checkpoints.Inc()
-			}
-		}
-		return nil, runErr
-	}
-	ps, err := sp.Finish()
-	if err != nil {
-		return nil, err
-	}
-	final := base.Corruption
-	final.Merge(br.Stats())
-	ps.Corruption = final
-	return ps, nil
-}
-
-// checkpointWriter is the serialization surface shared by the sequential
-// Profiler and the ShardedProfiler: both emit the same APCK document.
-type checkpointWriter interface {
-	WriteCheckpoint(w io.Writer, state core.StreamState) error
-}
-
 // writeCheckpointFile encodes the checkpoint into buf (reused across the
 // run's checkpoints) and installs it with backend.WriteAtomic: temp file,
 // fsync, rename, directory fsync. A crash at any instant leaves the previous
 // complete checkpoint, the new one, or none under path — never a partial
 // file — and an acknowledged checkpoint survives power loss.
-func writeCheckpointFile(p checkpointWriter, path string, state core.StreamState, buf *bytes.Buffer) error {
+func writeCheckpointFile(p *core.Profiler, path string, state core.StreamState, buf *bytes.Buffer) error {
 	buf.Reset()
 	if err := p.WriteCheckpoint(buf, state); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"aprof/internal/core"
 	"aprof/internal/trace"
+	"aprof/internal/workloads"
 )
 
 func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
@@ -32,31 +34,101 @@ func writeBytes(t *testing.T, ps *core.Profiles) []byte {
 }
 
 // TestProfileStreamMatchesSequential checks the pipeline's determinism
-// guarantee on random traces across batch sizes that exercise every batch
-// boundary case (mid-batch EOF, exact multiple, single-event batches).
+// guarantee across batch sizes that exercise every batch boundary case
+// (mid-batch EOF, exact multiple, single-event batches): random traces and
+// the communication-heavy benchmark suites, with and without calling
+// contexts, must stream to exactly the bytes of the in-memory profiler.
 func TestProfileStreamMatchesSequential(t *testing.T) {
+	traces := map[string]*trace.Trace{
+		"random-6t":  trace.Random(trace.RandomConfig{Seed: 6, Threads: 6, Ops: 1200, Cells: 10}),
+		"prod-cons":  workloads.ProducerConsumer(200),
+		"omp-suite":  workloads.SuiteOMP()[0].Build(),
+		"mysql-like": workloads.SuiteMySQL()[0].Build(),
+	}
 	for seed := int64(0); seed < 5; seed++ {
-		tr := trace.Random(trace.RandomConfig{Seed: seed, Ops: 700})
-		want, err := core.Run(tr, core.DefaultConfig())
+		traces[fmt.Sprintf("random-seed%d", seed)] = trace.Random(trace.RandomConfig{Seed: seed, Ops: 700})
+	}
+	ctxCfg := core.Config{ThreadInput: true, ContextSensitive: true}
+	for name, tr := range traces {
+		enc := encodeTrace(t, tr)
+		for _, cfg := range []core.Config{core.DefaultConfig(), ctxCfg} {
+			want, err := core.Run(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes := writeBytes(t, want)
+			for _, opts := range []StreamOptions{
+				{},
+				{BatchSize: 1},
+				{BatchSize: 7, Depth: 1},
+				{BatchSize: tr.Len()},
+				{BatchSize: 64, Depth: 8},
+			} {
+				got, err := ProfileStream(context.Background(), bytes.NewReader(enc), cfg, opts)
+				if err != nil {
+					t.Fatalf("%s contexts=%v opts %+v: %v", name, cfg.ContextSensitive, opts, err)
+				}
+				if !bytes.Equal(writeBytes(t, got), wantBytes) {
+					t.Errorf("%s contexts=%v opts %+v: pipelined profiles differ from sequential", name, cfg.ContextSensitive, opts)
+				}
+			}
+		}
+	}
+
+	// A lenient stream whose v2 framing is corrupted mid-stream: the reader
+	// resyncs, and the recovered events must profile identically whatever
+	// the batch geometry — to the bytes of profiling the same leniently
+	// decoded events in memory.
+	tr := trace.Random(trace.RandomConfig{Seed: 9, Threads: 4, Ops: 900})
+	var buf bytes.Buffer
+	if err := trace.WriteBinary2Opts(&buf, tr, trace.V2Options{EventsPerFrame: 32}); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	enc[len(enc)/2] ^= 0x40 // corrupt one frame's payload; CRC catches it
+	// A dropped frame can orphan later returns; count them instead of
+	// aborting, as a lenient production run would.
+	cfg := core.DefaultConfig()
+	cfg.FaultPolicy = core.FaultCount
+	br, err := trace.NewBinaryReaderOpts(bytes.NewReader(enc), trace.ReaderOptions{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewProfiler(br.Symbols(), cfg)
+	for {
+		var ev trace.Event
+		ok, err := br.Next(&ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBytes := writeBytes(t, want)
-		enc := encodeTrace(t, tr)
-		for _, opts := range []StreamOptions{
-			{},
-			{BatchSize: 1},
-			{BatchSize: 7, Depth: 1},
-			{BatchSize: tr.Len()},
-			{BatchSize: 64, Depth: 8},
-		} {
-			got, err := ProfileStream(context.Background(), bytes.NewReader(enc), core.DefaultConfig(), opts)
-			if err != nil {
-				t.Fatalf("seed %d opts %+v: %v", seed, opts, err)
-			}
-			if !bytes.Equal(writeBytes(t, got), wantBytes) {
-				t.Errorf("seed %d opts %+v: pipelined profiles differ from sequential", seed, opts)
-			}
+		if !ok {
+			break
+		}
+		if err := p.HandleEvent(&ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := p.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Corruption = br.Stats()
+	if want.Corruption.FramesDropped == 0 {
+		t.Fatal("corruption not detected; lenient case is vacuous")
+	}
+	wantBytes := writeBytes(t, want)
+	for _, opts := range []StreamOptions{
+		{Lenient: true},
+		{Lenient: true, BatchSize: 1},
+		{Lenient: true, BatchSize: 48},
+		{Lenient: true, BatchSize: 7, Depth: 1},
+	} {
+		got, err := ProfileStream(context.Background(), bytes.NewReader(enc), cfg, opts)
+		if err != nil {
+			t.Fatalf("lenient opts %+v: %v", opts, err)
+		}
+		if !bytes.Equal(writeBytes(t, got), wantBytes) {
+			t.Errorf("lenient opts %+v: pipelined profiles differ from sequential", opts)
 		}
 	}
 }

@@ -119,8 +119,8 @@ func Write(w io.Writer, ps *core.Profiles) error {
 	}
 	// Canonical order: by routine name, then thread. Sorting by name rather
 	// than interned id makes the serialized form independent of interning
-	// order, so profiles that are semantically equal — e.g. a MergeRuns
-	// left fold vs a MergeRunsParallel tree reduction — encode to identical
+	// order, so profiles that are semantically equal — e.g. runs that
+	// interned the same routines in different orders — encode to identical
 	// bytes.
 	sort.Slice(keys, func(i, j int) bool {
 		ni, nj := ps.Symbols.Name(keys[i].Routine), ps.Symbols.Name(keys[j].Routine)

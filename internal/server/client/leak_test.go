@@ -201,11 +201,18 @@ func TestLeakAuditBusyShedExhaustion(t *testing.T) {
 	enc := testTrace(t, 62, 500)
 	gate := make(chan struct{})
 	defer close(gate)
+	// The audit baseline is taken once the holder is parked inside its
+	// first batch: by then its pipeline goroutines exist, so they cannot
+	// show up as growth during the audit.
+	parked := make(chan struct{})
 	var once sync.Once
 	s := startNode(t, server.Options{
 		MaxSessions: 1,
 		OnSessionBatch: func(id string, batch int, delivered uint64) {
-			once.Do(func() { <-gate })
+			once.Do(func() {
+				close(parked)
+				<-gate
+			})
 		},
 	})
 
@@ -216,11 +223,10 @@ func TestLeakAuditBusyShedExhaustion(t *testing.T) {
 		})
 		holderDone <- err
 	}()
-	for i := 0; s.ActiveSessions() == 0; i++ {
-		if i > 1000 {
-			t.Fatal("holder never became active")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("holder never reached its first batch")
 	}
 
 	audit(t, func(t *testing.T) {

@@ -89,11 +89,6 @@ type Options struct {
 	// as in profio).
 	BatchSize       int
 	CheckpointEvery int
-	// Shards, when > 1, profiles each session on the sharded multi-core
-	// engine (profio.StreamOptions.Shards); output and checkpoints stay
-	// byte-identical to the sequential pipeline. Under sharding, batch
-	// acks coalesce to window granularity (CheckpointEvery batches).
-	Shards int
 	// Replica, when set, switches the daemon to replicated-checkpoint mode:
 	// APRR replication connections are served off the same listen port,
 	// batch acks coalesce to checkpoint boundaries, every boundary's
@@ -350,18 +345,26 @@ func (m *meteredReader) Read(p []byte) (int, error) {
 type idleConn struct {
 	net.Conn
 	idle time.Duration
+	// draining is the server's drain flag. Shutdown stores it before it
+	// expires every conn's read deadline, and Read re-checks it after
+	// arming a fresh deadline, so one of the two always wins: a Read that
+	// re-armed after Shutdown's nudge cannot block for a full idle period.
+	draining *atomic.Bool
 }
 
 func (c *idleConn) Read(p []byte) (int, error) {
 	if c.idle > 0 {
 		c.Conn.SetReadDeadline(time.Now().Add(c.idle))
+		if c.draining.Load() {
+			c.Conn.SetReadDeadline(time.Now())
+		}
 	}
 	return c.Conn.Read(p)
 }
 
 // session runs the handshake and one profiling session over conn.
 func (s *Server) session(conn net.Conn) {
-	metered := &meteredReader{r: &idleConn{Conn: conn, idle: s.opts.IdleTimeout}, limit: s.opts.MaxConnBytes}
+	metered := &meteredReader{r: &idleConn{Conn: conn, idle: s.opts.IdleTimeout, draining: &s.draining}, limit: s.opts.MaxConnBytes}
 	defer func() { s.m.bytesReceived.Add(uint64(metered.n)) }()
 	br := bufio.NewReader(metered)
 
@@ -476,7 +479,6 @@ func (s *Server) session(conn net.Conn) {
 	opts := profio.StreamOptions{
 		BatchSize:       s.opts.BatchSize,
 		CheckpointEvery: s.opts.CheckpointEvery,
-		Shards:          s.opts.Shards,
 		Lenient:         hs.lenient,
 		CheckpointPath:  ckptPath,
 		FinalCheckpoint: ckptPath != "",

@@ -124,8 +124,4 @@ func TestRunConcurrentByteIdentical(t *testing.T) {
 			t.Errorf("workers=%d: concurrent output differs from sequential fold", workers)
 		}
 	}
-	// The parallel tree reduction alone is also byte-identical.
-	if !bytes.Equal(profilesBytes(t, MergeRunsParallel(4, runs...)), want) {
-		t.Error("MergeRunsParallel output differs from MergeRuns")
-	}
 }
