@@ -2,6 +2,17 @@ package trace
 
 import "fmt"
 
+// The Builder collects events in chunks that are never regrown, so
+// building a trace of n events writes each event once into a chunk and
+// copies it once into the final slice, instead of re-copying the whole
+// prefix on every doubling of one growing slice. The first chunk holds
+// firstChunkEvents and each next one twice its predecessor, up to
+// chunkEvents, so a short trace does not pay for a full chunk.
+const (
+	firstChunkEvents = 256
+	chunkEvents      = 8192
+)
+
 // Builder constructs a merged trace programmatically. Workload generators
 // drive one ThreadBuilder per simulated thread; the builder linearizes
 // operations in call order and inserts switchThread events between
@@ -9,12 +20,20 @@ import "fmt"
 // require. This stands in for observing a real interleaved execution: the
 // interleaving is whatever order the generator issues operations in.
 type Builder struct {
-	tr      *Trace
+	tr *Trace
+	// chunks holds the full chunks, together holding full events; cur is
+	// the chunk being filled.
+	chunks  [][]Event
+	full    int
+	cur     []Event
 	time    uint64
 	last    ThreadID
 	started bool
 	noAuto  bool
 	threads map[ThreadID]*ThreadBuilder
+	// order lists the threads in order of their first emitted event, the
+	// order in which Trace closes their dangling activations.
+	order []*ThreadBuilder
 }
 
 // AutoCost controls whether every emitted operation implicitly advances the
@@ -46,34 +65,57 @@ func (b *Builder) Thread(id ThreadID) *ThreadBuilder {
 }
 
 // Trace finalizes and returns the built trace. Pending activations are
-// closed with synthetic returns so that every activation is collected. The
+// closed with synthetic returns so that every activation is collected: the
+// result equals the emitted events followed by Trace.CloseDangling. The
 // builder must not be used afterwards.
 func (b *Builder) Trace() *Trace {
-	b.tr.CloseDangling()
-	tr := b.tr
-	b.tr = nil
-	return tr
-}
-
-// emit appends ev, inserting a switchThread event first if the issuing
-// thread differs from the previous one.
-func (b *Builder) emit(ev Event) {
 	if b.tr == nil {
 		panic("trace: Builder used after Trace()")
 	}
-	if b.started && ev.Thread != b.last {
-		b.time++
-		b.tr.Events = append(b.tr.Events, Event{
-			Kind:   KindSwitchThread,
-			Thread: ev.Thread,
-			Time:   b.time,
-		})
+	n := b.full + len(b.cur)
+	dangling := 0
+	for _, t := range b.order {
+		dangling += t.depth
 	}
-	b.started = true
-	b.last = ev.Thread
-	b.time++
-	ev.Time = b.time
-	b.tr.Events = append(b.tr.Events, ev)
+	var events []Event // nil for an empty trace, as CloseDangling leaves it
+	if n+dangling > 0 {
+		events = make([]Event, 0, n+dangling)
+	}
+	for _, c := range b.chunks {
+		events = append(events, c...)
+	}
+	events = append(events, b.cur...)
+	time := b.time
+	for _, t := range b.order {
+		for d := t.depth; d > 0; d-- {
+			time++
+			events = append(events, Event{Kind: KindReturn, Thread: t.id, Time: time, Cost: t.emitted})
+		}
+	}
+	tr := b.tr
+	tr.Events = events
+	b.tr, b.chunks, b.cur = nil, nil, nil
+	return tr
+}
+
+// add appends ev to the current chunk, starting a new chunk when it is
+// full.
+func (b *Builder) add(ev Event) {
+	if len(b.cur) == cap(b.cur) {
+		b.nextChunk()
+	}
+	b.cur = append(b.cur, ev)
+}
+
+// nextChunk retires the full current chunk and starts the next one.
+func (b *Builder) nextChunk() {
+	size := firstChunkEvents
+	if b.cur != nil {
+		b.chunks = append(b.chunks, b.cur)
+		b.full += len(b.cur)
+		size = min(2*cap(b.cur), chunkEvents)
+	}
+	b.cur = make([]Event, 0, size)
 }
 
 // ThreadBuilder issues the operations of one thread.
@@ -82,6 +124,34 @@ type ThreadBuilder struct {
 	id    ThreadID
 	cost  uint64
 	depth int
+	// emitted is the cost carried by the thread's last emitted event, and
+	// active reports whether it has emitted one; Trace closes dangling
+	// activations at that cost.
+	emitted uint64
+	active  bool
+}
+
+// emit appends ev, inserting a switchThread event first if the issuing
+// thread differs from the previous one.
+func (t *ThreadBuilder) emit(ev Event) {
+	b := t.b
+	if b.tr == nil {
+		panic("trace: Builder used after Trace()")
+	}
+	if !t.active {
+		t.active = true
+		b.order = append(b.order, t)
+	}
+	t.emitted = ev.Cost
+	if b.started && ev.Thread != b.last {
+		b.time++
+		b.add(Event{Kind: KindSwitchThread, Thread: ev.Thread, Time: b.time})
+	}
+	b.started = true
+	b.last = ev.Thread
+	b.time++
+	ev.Time = b.time
+	b.add(ev)
 }
 
 // ID returns the thread id.
@@ -101,9 +171,17 @@ func (t *ThreadBuilder) Work(n uint64) { t.cost += n }
 // basic blocks themselves.
 func (t *ThreadBuilder) SetCost(c uint64) {
 	if c < t.cost {
-		panic(fmt.Sprintf("trace: thread %d: SetCost(%d) below current cost %d", t.id, c, t.cost))
+		t.costBelow(c)
 	}
 	t.cost = c
+}
+
+// costBelow panics for SetCost(c). It is kept out of SetCost so that
+// SetCost, called before every VM event, stays inlinable.
+//
+//go:noinline
+func (t *ThreadBuilder) costBelow(c uint64) {
+	panic(fmt.Sprintf("trace: thread %d: SetCost(%d) below current cost %d", t.id, c, t.cost))
 }
 
 // bump advances the cost by one operation unless the builder is in
@@ -119,7 +197,7 @@ func (t *ThreadBuilder) bump() {
 func (t *ThreadBuilder) Call(name string) {
 	t.bump()
 	t.depth++
-	t.b.emit(Event{
+	t.emit(Event{
 		Kind:    KindCall,
 		Thread:  t.id,
 		Routine: t.b.tr.Symbols.Intern(name),
@@ -134,19 +212,19 @@ func (t *ThreadBuilder) Ret() {
 	}
 	t.bump()
 	t.depth--
-	t.b.emit(Event{Kind: KindReturn, Thread: t.id, Cost: t.cost})
+	t.emit(Event{Kind: KindReturn, Thread: t.id, Cost: t.cost})
 }
 
 // Read issues a read of size cells starting at addr.
 func (t *ThreadBuilder) Read(addr Addr, size uint32) {
 	t.bump()
-	t.b.emit(Event{Kind: KindRead, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
+	t.emit(Event{Kind: KindRead, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
 }
 
 // Write issues a write of size cells starting at addr.
 func (t *ThreadBuilder) Write(addr Addr, size uint32) {
 	t.bump()
-	t.b.emit(Event{Kind: KindWrite, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
+	t.emit(Event{Kind: KindWrite, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
 }
 
 // Read1 reads the single cell at addr.
@@ -160,7 +238,7 @@ func (t *ThreadBuilder) Write1(addr Addr) { t.Write(addr, 1) }
 // producing a kernelToUser event.
 func (t *ThreadBuilder) SysRead(addr Addr, size uint32) {
 	t.bump()
-	t.b.emit(Event{Kind: KindKernelToUser, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
+	t.emit(Event{Kind: KindKernelToUser, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
 }
 
 // SysWrite models a write-like system call (write, sendto, pwrite64, writev,
@@ -168,17 +246,17 @@ func (t *ThreadBuilder) SysRead(addr Addr, size uint32) {
 // behalf, producing a userToKernel event.
 func (t *ThreadBuilder) SysWrite(addr Addr, size uint32) {
 	t.bump()
-	t.b.emit(Event{Kind: KindUserToKernel, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
+	t.emit(Event{Kind: KindUserToKernel, Thread: t.id, Addr: addr, Size: size, Cost: t.cost})
 }
 
 // Acquire emits a synchronization acquire on the object at addr.
 func (t *ThreadBuilder) Acquire(obj Addr) {
 	t.bump()
-	t.b.emit(Event{Kind: KindAcquire, Thread: t.id, Addr: obj, Cost: t.cost})
+	t.emit(Event{Kind: KindAcquire, Thread: t.id, Addr: obj, Cost: t.cost})
 }
 
 // Release emits a synchronization release on the object at addr.
 func (t *ThreadBuilder) Release(obj Addr) {
 	t.bump()
-	t.b.emit(Event{Kind: KindRelease, Thread: t.id, Addr: obj, Cost: t.cost})
+	t.emit(Event{Kind: KindRelease, Thread: t.id, Addr: obj, Cost: t.cost})
 }

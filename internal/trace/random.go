@@ -53,9 +53,15 @@ func (cfg *RandomConfig) defaults() {
 // structural validity (balanced activations, monotonic time, non-decreasing
 // per-thread cost).
 func Random(cfg RandomConfig) *Trace {
+	b := NewBuilder()
+	randomOps(b, cfg)
+	return b.Trace()
+}
+
+// randomOps issues the operations of Random(cfg) on b.
+func randomOps(b *Builder, cfg RandomConfig) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	b := NewBuilder()
 	threads := make([]*ThreadBuilder, cfg.Threads)
 	for i := range threads {
 		threads[i] = b.Thread(ThreadID(i + 1))
@@ -95,5 +101,4 @@ func Random(cfg RandomConfig) *Trace {
 			t.Release(addr)
 		}
 	}
-	return b.Trace()
 }

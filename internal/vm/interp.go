@@ -134,14 +134,6 @@ type vmFrame struct {
 	eff *PlanFunc
 }
 
-func (f *vmFrame) push(v int64) { f.stack = append(f.stack, v) }
-
-func (f *vmFrame) pop() int64 {
-	v := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	return v
-}
-
 // semaphore is a counting semaphore with a FIFO wait queue.
 type semaphore struct {
 	value   int64
@@ -285,44 +277,248 @@ func (in *interp) schedule() error {
 }
 
 // runSlice executes t until it crosses Quantum basic-block boundaries,
-// blocks, or finishes.
+// blocks, or finishes. It is the interpreter's one dispatch loop. The top
+// frame's code, block leaders, pc, operand stack and locals live in local
+// variables: they are reloaded when a call or return changes the top frame,
+// and pc and stack are written back to the frame when the slice ends.
 func (in *interp) runSlice(t *vmThread) error {
+	tb := t.tb
 	if !t.started {
 		t.started = true
 		// The root activation's call event: the thread begins executing its
 		// root function.
-		t.tb.SetCost(t.bb)
-		t.tb.Call(t.frames[0].fn.Name)
+		tb.SetCost(t.bb)
+		tb.Call(t.frames[0].fn.Name)
 	}
-	blocks := 0
-	for !t.done && t.blockedOn < 0 {
-		fr := t.frames[len(t.frames)-1]
-		if fr.fn.BlockStart[fr.pc] {
-			if in.plan != nil {
+	sup := in.plan != nil
+	consts := in.cp.Constants
+	heap, heapEnd := in.heap, in.heapEnd
+	steps, maxSteps := in.steps, in.opts.MaxSteps
+	blocks, quantum := 0, in.opts.Quantum
+
+	fr := t.frames[len(t.frames)-1]
+	code, lead, locals, st, pc := fr.fn.Code, fr.fn.BlockStart, fr.locals, fr.stack, fr.pc
+	var err error
+run:
+	for {
+		if lead[pc] {
+			if sup {
 				// Flush before the block counter advances so the buffered
 				// events carry the cost of the block they happened in, and
 				// before the quantum check so no buffered access can cross a
 				// thread switch.
 				in.supFlush(t)
 			}
-			if blocks >= in.opts.Quantum {
-				return nil // switch threads at the block boundary
+			if blocks >= quantum {
+				break run // switch threads at the block boundary
 			}
 			blocks++
 			t.bb++
-			if in.plan != nil {
-				in.supEnter(t, fr)
+			if sup {
+				in.supEnter(t, fr.eff, pc)
 			}
 		}
-		if in.steps >= in.opts.MaxSteps {
-			return &RuntimeError{Func: fr.fn.Name, Line: int(fr.fn.Code[fr.pc].Line), Msg: "step limit exceeded (infinite loop?)"}
+		if steps >= maxSteps {
+			err = &RuntimeError{Func: fr.fn.Name, Line: int(code[pc].Line), Msg: "step limit exceeded (infinite loop?)"}
+			break run
 		}
-		in.steps++
-		if err := in.step(t, fr); err != nil {
-			return err
+		steps++
+		ins := &code[pc]
+		pc++
+		top := len(st) - 1
+		switch ins.Op {
+		case OpConst:
+			st = append(st, consts[ins.A])
+		case OpLoadLocal:
+			st = append(st, locals[ins.A])
+		case OpStoreLocal:
+			locals[ins.A] = st[top]
+			st = st[:top]
+		case OpLoadMem:
+			addr := st[top]
+			if addr < heapBase || addr > heapEnd-1 {
+				err = in.memErr(fr, ins, addr, 1)
+				break run
+			}
+			if sup {
+				in.supMem(t, fr.eff, pc-1, addr, false)
+			} else {
+				tb.SetCost(t.bb)
+				tb.Read1(trace.Addr(addr))
+			}
+			st[top] = heap[addr]
+		case OpStoreMem:
+			addr := st[top-1]
+			if addr < heapBase || addr > heapEnd-1 {
+				err = in.memErr(fr, ins, addr, 1)
+				break run
+			}
+			if sup {
+				in.supMem(t, fr.eff, pc-1, addr, true)
+			} else {
+				tb.SetCost(t.bb)
+				tb.Write1(trace.Addr(addr))
+			}
+			heap[addr] = st[top]
+			st = st[:top-1]
+		case OpAdd:
+			st[top-1] += st[top]
+			st = st[:top]
+		case OpSub:
+			st[top-1] -= st[top]
+			st = st[:top]
+		case OpMul:
+			st[top-1] *= st[top]
+			st = st[:top]
+		case OpDiv:
+			if st[top] == 0 {
+				err = in.rtErr(fr, ins, "division by zero")
+				break run
+			}
+			st[top-1] /= st[top]
+			st = st[:top]
+		case OpMod:
+			if st[top] == 0 {
+				err = in.rtErr(fr, ins, "division by zero")
+				break run
+			}
+			st[top-1] %= st[top]
+			st = st[:top]
+		case OpNeg:
+			st[top] = -st[top]
+		case OpNot:
+			st[top] = boolVal(st[top] == 0)
+		case OpEq:
+			st[top-1] = boolVal(st[top-1] == st[top])
+			st = st[:top]
+		case OpNe:
+			st[top-1] = boolVal(st[top-1] != st[top])
+			st = st[:top]
+		case OpLt:
+			st[top-1] = boolVal(st[top-1] < st[top])
+			st = st[:top]
+		case OpLe:
+			st[top-1] = boolVal(st[top-1] <= st[top])
+			st = st[:top]
+		case OpGt:
+			st[top-1] = boolVal(st[top-1] > st[top])
+			st = st[:top]
+		case OpGe:
+			st[top-1] = boolVal(st[top-1] >= st[top])
+			st = st[:top]
+		case OpJump:
+			pc = int(ins.A)
+		case OpJumpIfZero:
+			if st[top] == 0 {
+				pc = int(ins.A)
+			}
+			st = st[:top]
+		case OpJumpIfNonZero:
+			if st[top] != 0 {
+				pc = int(ins.A)
+			}
+			st = st[:top]
+		case OpPop:
+			st = st[:top]
+		case OpCall:
+			if len(t.frames) >= maxCallDepth {
+				err = in.rtErr(fr, ins, "call stack overflow (depth %d)", maxCallDepth)
+				break run
+			}
+			callee := in.cp.Funcs[ins.A]
+			nf := &vmFrame{fn: callee, locals: make([]int64, callee.NumLocals), eff: in.planFor(int(ins.A))}
+			args := len(st) - int(ins.B)
+			copy(nf.locals, st[args:])
+			st = st[:args]
+			if sup {
+				// The call event ticks the profiler counter and pushes a
+				// shadow frame: buffered accesses of this block must
+				// precede it.
+				in.supFlush(t)
+			}
+			tb.SetCost(t.bb)
+			tb.Call(callee.Name)
+			fr.pc, fr.stack = pc, st
+			t.frames = append(t.frames, nf)
+			fr = nf
+			code, lead, locals, st, pc = fr.fn.Code, fr.fn.BlockStart, fr.locals, fr.stack, fr.pc
+		case OpReturn:
+			ret := st[top]
+			if sup {
+				in.supFlush(t)
+			}
+			tb.SetCost(t.bb)
+			tb.Ret()
+			t.frames = t.frames[:len(t.frames)-1]
+			if len(t.frames) == 0 {
+				t.done = true
+				break run
+			}
+			fr = t.frames[len(t.frames)-1]
+			code, lead, locals, st, pc = fr.fn.Code, fr.fn.BlockStart, fr.locals, fr.stack, fr.pc
+			st = append(st, ret)
+		case OpSpawn:
+			args := len(st) - int(ins.B)
+			in.spawnThread(int(ins.A), st[args:])
+			st = st[:args]
+		case OpAlloc:
+			if st[top], err = in.alloc(fr, ins, st[top]); err != nil {
+				break run
+			}
+			heap, heapEnd = in.heap, in.heapEnd
+		case OpSemNew:
+			if st[top], err = in.semNew(fr, ins, st[top]); err != nil {
+				break run
+			}
+		case OpSemWait:
+			blocked, werr := in.semWait(t, fr, ins, st[top])
+			if werr != nil || blocked {
+				// A blocked wait pops the id now; the granting signal
+				// completes the stack effect.
+				err = werr
+				st = st[:top]
+				break run
+			}
+			st[top] = 0
+		case OpSemSignal:
+			if err = in.semSignal(t, fr, ins, st[top]); err != nil {
+				break run
+			}
+			st[top] = 0
+		case OpSysRead:
+			if err = in.sysRead(t, fr, ins, st[top-1], st[top]); err != nil {
+				break run
+			}
+			st[top-1] = st[top]
+			st = st[:top]
+		case OpSysWrite:
+			if err = in.sysWrite(t, fr, ins, st[top-1], st[top]); err != nil {
+				break run
+			}
+			st[top-1] = st[top]
+			st = st[:top]
+		case OpPrint:
+			args := len(st) - int(ins.A)
+			in.print(ins, st[args:])
+			st = append(st[:args], 0)
+		case OpAssert:
+			if st[top] == 0 {
+				err = in.rtErr(fr, ins, "assertion failed")
+				break run
+			}
+			st[top] = 0
+		case OpRand:
+			if st[top], err = in.rand(fr, ins, st[top]); err != nil {
+				break run
+			}
+		default:
+			err = in.rtErr(fr, ins, "unhandled opcode %s", ins.Op)
+			break run
 		}
 	}
-	return nil
+	fr.pc, fr.stack = pc, st
+	in.steps = steps
+	return err
 }
 
 // planFor returns the suppression plan of funcs[idx], or nil when off.
@@ -333,11 +529,12 @@ func (in *interp) planFor(idx int) *PlanFunc {
 	return &in.plan.Funcs[idx]
 }
 
-// supEnter classifies the block led by fr.pc: aggregable blocks start
-// buffering, everything else is traced directly. Called right after the
-// block-entry bookkeeping, with the previous block's buffer already flushed.
-func (in *interp) supEnter(t *vmThread, fr *vmFrame) {
-	switch fr.eff.Class[fr.pc] {
+// supEnter classifies the block led by pc under plan eff: aggregable
+// blocks start buffering, everything else is traced directly. Called right
+// after the block-entry bookkeeping, with the previous block's buffer
+// already flushed.
+func (in *interp) supEnter(t *vmThread, eff *PlanFunc, pc int) {
+	switch eff.Class[pc] {
 	case ClassAggregate:
 		t.supOn = true
 		in.stats.BlocksAggregated++
@@ -384,9 +581,9 @@ func (in *interp) supFlush(t *vmThread) {
 // an address already accessed in the block is a complete no-op, as is a
 // re-write of an address already written; a write after only reads still
 // matters (it updates the global write shadow) and is kept.
-func (in *interp) supMem(t *vmThread, fr *vmFrame, pc int, addr int64, write bool) {
+func (in *interp) supMem(t *vmThread, eff *PlanFunc, pc int, addr int64, write bool) {
 	in.stats.MemOps++
-	if fr.eff.Elide[pc] {
+	if eff.Elide[pc] {
 		in.stats.ElidedStatic++
 		return
 	}
@@ -422,292 +619,171 @@ func (in *interp) supMem(t *vmThread, fr *vmFrame, pc int, addr int64, write boo
 	t.supBuf = append(t.supBuf, supAccess{addr: addr, size: 1, write: write})
 }
 
-func (in *interp) rtErr(fr *vmFrame, ins Instr, format string, args ...any) error {
+func (in *interp) rtErr(fr *vmFrame, ins *Instr, format string, args ...any) error {
 	return &RuntimeError{Func: fr.fn.Name, Line: int(ins.Line), Msg: fmt.Sprintf(format, args...)}
 }
 
-// checkAddr validates a heap address for an n-cell access.
-func (in *interp) checkAddr(fr *vmFrame, ins Instr, addr, n int64) error {
-	if addr < heapBase || n < 0 || addr+n > in.heapEnd {
-		return in.rtErr(fr, ins, "invalid memory access at address %d (%d cells; heap is [%d, %d))", addr, n, heapBase, in.heapEnd)
+// memErr reports an invalid n-cell access at addr.
+func (in *interp) memErr(fr *vmFrame, ins *Instr, addr, n int64) error {
+	return in.rtErr(fr, ins, "invalid memory access at address %d (%d cells; heap is [%d, %d))", addr, n, heapBase, in.heapEnd)
+}
+
+// checkAddr validates a heap address for an n-cell access. The end bound
+// is compared as addr > heapEnd-n, which cannot overflow for n >= 0.
+func (in *interp) checkAddr(fr *vmFrame, ins *Instr, addr, n int64) error {
+	if addr < heapBase || n < 0 || addr > in.heapEnd-n {
+		return in.memErr(fr, ins, addr, n)
 	}
 	return nil
 }
 
-// step executes one instruction of t's topmost frame.
-func (in *interp) step(t *vmThread, fr *vmFrame) error {
-	ins := fr.fn.Code[fr.pc]
-	fr.pc++
-	switch ins.Op {
-	case OpConst:
-		fr.push(in.cp.Constants[ins.A])
-	case OpLoadLocal:
-		fr.push(fr.locals[ins.A])
-	case OpStoreLocal:
-		fr.locals[ins.A] = fr.pop()
-	case OpLoadMem:
-		addr := fr.pop()
-		if err := in.checkAddr(fr, ins, addr, 1); err != nil {
-			return err
-		}
-		if in.plan == nil {
-			t.tb.SetCost(t.bb)
-			t.tb.Read1(trace.Addr(addr))
-		} else {
-			in.supMem(t, fr, fr.pc-1, addr, false)
-		}
-		fr.push(in.heap[addr])
-	case OpStoreMem:
-		value := fr.pop()
-		addr := fr.pop()
-		if err := in.checkAddr(fr, ins, addr, 1); err != nil {
-			return err
-		}
-		if in.plan == nil {
-			t.tb.SetCost(t.bb)
-			t.tb.Write1(trace.Addr(addr))
-		} else {
-			in.supMem(t, fr, fr.pc-1, addr, true)
-		}
-		in.heap[addr] = value
-	case OpAdd:
-		y := fr.pop()
-		fr.push(fr.pop() + y)
-	case OpSub:
-		y := fr.pop()
-		fr.push(fr.pop() - y)
-	case OpMul:
-		y := fr.pop()
-		fr.push(fr.pop() * y)
-	case OpDiv:
-		y := fr.pop()
-		if y == 0 {
-			return in.rtErr(fr, ins, "division by zero")
-		}
-		fr.push(fr.pop() / y)
-	case OpMod:
-		y := fr.pop()
-		if y == 0 {
-			return in.rtErr(fr, ins, "division by zero")
-		}
-		fr.push(fr.pop() % y)
-	case OpNeg:
-		fr.push(-fr.pop())
-	case OpNot:
-		fr.push(boolVal(fr.pop() == 0))
-	case OpEq:
-		y := fr.pop()
-		fr.push(boolVal(fr.pop() == y))
-	case OpNe:
-		y := fr.pop()
-		fr.push(boolVal(fr.pop() != y))
-	case OpLt:
-		y := fr.pop()
-		fr.push(boolVal(fr.pop() < y))
-	case OpLe:
-		y := fr.pop()
-		fr.push(boolVal(fr.pop() <= y))
-	case OpGt:
-		y := fr.pop()
-		fr.push(boolVal(fr.pop() > y))
-	case OpGe:
-		y := fr.pop()
-		fr.push(boolVal(fr.pop() >= y))
-	case OpJump:
-		fr.pc = int(ins.A)
-	case OpJumpIfZero:
-		if fr.pop() == 0 {
-			fr.pc = int(ins.A)
-		}
-	case OpJumpIfNonZero:
-		if fr.pop() != 0 {
-			fr.pc = int(ins.A)
-		}
-	case OpPop:
-		fr.pop()
-	case OpCall:
-		if len(t.frames) >= maxCallDepth {
-			return in.rtErr(fr, ins, "call stack overflow (depth %d)", maxCallDepth)
-		}
-		callee := in.cp.Funcs[ins.A]
-		nargs := int(ins.B)
-		nf := &vmFrame{fn: callee, locals: make([]int64, callee.NumLocals), eff: in.planFor(int(ins.A))}
-		for i := nargs - 1; i >= 0; i-- {
-			nf.locals[i] = fr.pop()
-		}
-		if in.plan != nil {
-			// The call event ticks the profiler counter and pushes a shadow
-			// frame: buffered accesses of this block must precede it.
-			in.supFlush(t)
-		}
+// alloc executes OpAlloc: it returns the base of n fresh heap cells.
+func (in *interp) alloc(fr *vmFrame, ins *Instr, n int64) (int64, error) {
+	if n <= 0 {
+		return 0, in.rtErr(fr, ins, "alloc of non-positive size %d", n)
+	}
+	if in.heapEnd+n > in.opts.HeapLimit {
+		return 0, in.rtErr(fr, ins, "heap limit of %d cells exceeded", in.opts.HeapLimit)
+	}
+	base := in.heapEnd
+	in.heapEnd += n
+	for int64(len(in.heap)) < in.heapEnd {
+		in.heap = append(in.heap, make([]int64, len(in.heap))...)
+	}
+	return base, nil
+}
+
+// semNew executes OpSemNew: it returns the id of a new semaphore.
+func (in *interp) semNew(fr *vmFrame, ins *Instr, init int64) (int64, error) {
+	if init < 0 {
+		return 0, in.rtErr(fr, ins, "semaphore initialized to negative value %d", init)
+	}
+	in.sems = append(in.sems, &semaphore{value: init})
+	return int64(len(in.sems) - 1), nil
+}
+
+// semWait executes OpSemWait on semaphore id. It reports whether t
+// blocked; a blocked thread's wait is granted later by a signal, which also
+// emits the acquire event and completes the instruction's stack effect.
+func (in *interp) semWait(t *vmThread, fr *vmFrame, ins *Instr, id int64) (bool, error) {
+	if id < 0 || id >= int64(len(in.sems)) {
+		return false, in.rtErr(fr, ins, "wait on invalid semaphore %d", id)
+	}
+	s := in.sems[id]
+	if in.plan != nil {
+		// Both outcomes leave this block: flush before the acquire event
+		// or before other threads run while we are blocked.
+		in.supFlush(t)
+	}
+	if s.value > 0 {
+		s.value--
 		t.tb.SetCost(t.bb)
-		t.tb.Call(callee.Name)
-		t.frames = append(t.frames, nf)
-	case OpSpawn:
-		callee := int(ins.A)
-		nargs := int(ins.B)
-		args := make([]int64, nargs)
-		for i := nargs - 1; i >= 0; i-- {
-			args[i] = fr.pop()
-		}
-		in.spawnThread(callee, args)
-	case OpReturn:
-		ret := fr.pop()
-		if in.plan != nil {
-			in.supFlush(t)
-		}
-		t.tb.SetCost(t.bb)
-		t.tb.Ret()
-		t.frames = t.frames[:len(t.frames)-1]
-		if len(t.frames) == 0 {
-			t.done = true
-			return nil
-		}
-		t.frames[len(t.frames)-1].push(ret)
-	case OpAlloc:
-		n := fr.pop()
-		if n <= 0 {
-			return in.rtErr(fr, ins, "alloc of non-positive size %d", n)
-		}
-		if in.heapEnd+n > in.opts.HeapLimit {
-			return in.rtErr(fr, ins, "heap limit of %d cells exceeded", in.opts.HeapLimit)
-		}
-		base := in.heapEnd
-		in.heapEnd += n
-		for int64(len(in.heap)) < in.heapEnd {
-			in.heap = append(in.heap, make([]int64, len(in.heap))...)
-		}
-		fr.push(base)
-	case OpSemNew:
-		init := fr.pop()
-		if init < 0 {
-			return in.rtErr(fr, ins, "semaphore initialized to negative value %d", init)
-		}
-		in.sems = append(in.sems, &semaphore{value: init})
-		fr.push(int64(len(in.sems) - 1))
-	case OpSemWait:
-		id := fr.pop()
-		if id < 0 || id >= int64(len(in.sems)) {
-			return in.rtErr(fr, ins, "wait on invalid semaphore %d", id)
-		}
-		s := in.sems[id]
-		if in.plan != nil {
-			// Both outcomes leave this block: flush before the acquire event
-			// or before other threads run while we are blocked.
-			in.supFlush(t)
-		}
-		if s.value > 0 {
-			s.value--
-			t.tb.SetCost(t.bb)
-			t.tb.Acquire(trace.Addr(id))
-			fr.push(0)
-			return nil
-		}
-		// Block: the wait is granted later by a signal, which also emits
-		// the acquire event and completes the instruction's stack effect.
-		t.blockedOn = int(id)
-		s.waiters = append(s.waiters, t)
-	case OpSemSignal:
-		id := fr.pop()
-		if id < 0 || id >= int64(len(in.sems)) {
-			return in.rtErr(fr, ins, "signal on invalid semaphore %d", id)
-		}
-		s := in.sems[id]
-		if in.plan != nil {
-			in.supFlush(t)
-		}
-		t.tb.SetCost(t.bb)
-		t.tb.Release(trace.Addr(id))
-		if len(s.waiters) > 0 {
-			w := s.waiters[0]
-			s.waiters = s.waiters[1:]
-			w.blockedOn = -1
-			// Complete the waiter's pending wait: acquire event and stack
-			// effect, then make it runnable again.
-			w.tb.SetCost(w.bb)
-			w.tb.Acquire(trace.Addr(id))
-			w.frames[len(w.frames)-1].push(0)
-			in.runq = append(in.runq, w)
-		} else {
-			s.value++
-		}
-		fr.push(0)
-	case OpSysRead:
-		n := fr.pop()
-		base := fr.pop()
-		if err := in.checkAddr(fr, ins, base, n); err != nil {
-			return err
-		}
-		if n > 0 {
-			if in.plan != nil {
-				in.supFlush(t)
-			}
-			t.tb.SetCost(t.bb)
-			t.tb.SysRead(trace.Addr(base), uint32(n))
-			for i := int64(0); i < n; i++ {
-				in.extSeq++
-				in.heap[base+i] = in.extSeq
-			}
-		}
-		fr.push(n)
-	case OpSysWrite:
-		n := fr.pop()
-		base := fr.pop()
-		if err := in.checkAddr(fr, ins, base, n); err != nil {
-			return err
-		}
-		if n > 0 {
-			if in.plan != nil {
-				in.supFlush(t)
-			}
-			t.tb.SetCost(t.bb)
-			t.tb.SysWrite(trace.Addr(base), uint32(n))
-		}
-		fr.push(n)
-	case OpPrint:
-		argc := int(ins.A)
-		vals := make([]int64, argc)
-		for i := argc - 1; i >= 0; i-- {
-			vals[i] = fr.pop()
-		}
-		var sb strings.Builder
-		if ins.B >= 0 {
-			sb.WriteString(in.cp.Strings[ins.B])
-		}
-		for i, v := range vals {
-			if i > 0 || ins.B >= 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%d", v)
-		}
-		line := sb.String()
-		in.output = append(in.output, line)
-		if in.opts.Stdout != nil {
-			fmt.Fprintln(in.opts.Stdout, line)
-		}
-		fr.push(0)
-	case OpAssert:
-		if fr.pop() == 0 {
-			return in.rtErr(fr, ins, "assertion failed")
-		}
-		fr.push(0)
-	case OpRand:
-		n := fr.pop()
-		if n <= 0 {
-			return in.rtErr(fr, ins, "rand of non-positive bound %d", n)
-		}
-		// SplitMix64: deterministic across runs (the VM is seeded, not the
-		// wall clock), so profiled programs stay reproducible.
-		in.randSt += 0x9e3779b97f4a7c15
-		z := in.randSt
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		fr.push(int64(z % uint64(n)))
-	default:
-		return in.rtErr(fr, ins, "unhandled opcode %s", ins.Op)
+		t.tb.Acquire(trace.Addr(id))
+		return false, nil
+	}
+	t.blockedOn = int(id)
+	s.waiters = append(s.waiters, t)
+	return true, nil
+}
+
+// semSignal executes OpSemSignal on semaphore id, granting the oldest
+// pending wait if there is one.
+func (in *interp) semSignal(t *vmThread, fr *vmFrame, ins *Instr, id int64) error {
+	if id < 0 || id >= int64(len(in.sems)) {
+		return in.rtErr(fr, ins, "signal on invalid semaphore %d", id)
+	}
+	s := in.sems[id]
+	if in.plan != nil {
+		in.supFlush(t)
+	}
+	t.tb.SetCost(t.bb)
+	t.tb.Release(trace.Addr(id))
+	if len(s.waiters) == 0 {
+		s.value++
+		return nil
+	}
+	w := s.waiters[0]
+	s.waiters = s.waiters[1:]
+	w.blockedOn = -1
+	// Complete the waiter's pending wait: acquire event and stack effect,
+	// then make it runnable again.
+	w.tb.SetCost(w.bb)
+	w.tb.Acquire(trace.Addr(id))
+	wf := w.frames[len(w.frames)-1]
+	wf.stack = append(wf.stack, 0)
+	in.runq = append(in.runq, w)
+	return nil
+}
+
+// sysRead executes OpSysRead: the kernel fills heap[base, base+n) with
+// fresh external data.
+func (in *interp) sysRead(t *vmThread, fr *vmFrame, ins *Instr, base, n int64) error {
+	if err := in.checkAddr(fr, ins, base, n); err != nil {
+		return err
+	}
+	if n == 0 {
+		return nil
+	}
+	if in.plan != nil {
+		in.supFlush(t)
+	}
+	t.tb.SetCost(t.bb)
+	t.tb.SysRead(trace.Addr(base), uint32(n))
+	for i := int64(0); i < n; i++ {
+		in.extSeq++
+		in.heap[base+i] = in.extSeq
 	}
 	return nil
+}
+
+// sysWrite executes OpSysWrite: the kernel reads heap[base, base+n).
+func (in *interp) sysWrite(t *vmThread, fr *vmFrame, ins *Instr, base, n int64) error {
+	if err := in.checkAddr(fr, ins, base, n); err != nil {
+		return err
+	}
+	if n == 0 {
+		return nil
+	}
+	if in.plan != nil {
+		in.supFlush(t)
+	}
+	t.tb.SetCost(t.bb)
+	t.tb.SysWrite(trace.Addr(base), uint32(n))
+	return nil
+}
+
+// print executes OpPrint over the popped argument values.
+func (in *interp) print(ins *Instr, vals []int64) {
+	var sb strings.Builder
+	if ins.B >= 0 {
+		sb.WriteString(in.cp.Strings[ins.B])
+	}
+	for i, v := range vals {
+		if i > 0 || ins.B >= 0 {
+			sb.WriteByte(' ')
+		}
+		fmt.Fprintf(&sb, "%d", v)
+	}
+	line := sb.String()
+	in.output = append(in.output, line)
+	if in.opts.Stdout != nil {
+		fmt.Fprintln(in.opts.Stdout, line)
+	}
+}
+
+// rand executes OpRand: a value in [0, n) from the VM's generator.
+func (in *interp) rand(fr *vmFrame, ins *Instr, n int64) (int64, error) {
+	if n <= 0 {
+		return 0, in.rtErr(fr, ins, "rand of non-positive bound %d", n)
+	}
+	// SplitMix64: deterministic across runs (the VM is seeded, not the
+	// wall clock), so profiled programs stay reproducible.
+	in.randSt += 0x9e3779b97f4a7c15
+	z := in.randSt
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z % uint64(n)), nil
 }
 
 func boolVal(b bool) int64 {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -239,6 +240,103 @@ func TestStepLimit(t *testing.T) {
 	_, err := RunSource(`fn main() { while (1) {} }`, Options{MaxSteps: 10000})
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Errorf("err = %v, want step limit error", err)
+	}
+}
+
+// TestStepLimitBoundary pins the MaxSteps check at its edge: a run of
+// exactly K instructions succeeds with MaxSteps K, and with K-1 (or fewer)
+// fails on the instruction that would exceed the budget, reported with its
+// function and line.
+func TestStepLimitBoundary(t *testing.T) {
+	const calls = `fn sq(x) {
+	return x * x;
+}
+fn main() {
+	var s = 0;
+	for (var i = 0; i < 5; i = i + 1) {
+		s = s + sq(i);
+	}
+	print(s);
+}`
+	const threads = `global acc = 0;
+fn worker(m, n) {
+	for (var i = 0; i < n; i = i + 1) {
+		wait(m);
+		acc = acc + 1;
+		signal(m);
+	}
+}
+fn main() {
+	var m = sem(1);
+	spawn worker(m, 7);
+	spawn worker(m, 9);
+	worker(m, 3);
+	while (acc < 19) {
+	}
+	print(acc);
+}`
+	const limit = "step limit exceeded (infinite loop?)"
+	cases := []struct {
+		name    string
+		src     string
+		quantum int
+		steps   uint64
+		// errLast is the error with MaxSteps = steps-1; errMid the error
+		// with MaxSteps = steps/2.
+		errLast, errMid string
+	}{
+		{"calls", calls, 0, 103, "main (line 4)", "main (line 7)"},
+		{"calls/quantum1", calls, 1, 103, "main (line 4)", "main (line 7)"},
+		{"threads", threads, 0, 543, "main (line 9)", "worker (line 4)"},
+		{"threads/quantum1", threads, 1, 501, "worker (line 2)", "worker (line 3)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunSource(tc.src, Options{Quantum: tc.quantum, MaxSteps: tc.steps})
+			if err != nil {
+				t.Fatalf("MaxSteps %d: %v", tc.steps, err)
+			}
+			if res.Steps != tc.steps {
+				t.Fatalf("Steps = %d, want %d", res.Steps, tc.steps)
+			}
+			for _, c := range []struct {
+				max  uint64
+				want string
+			}{{tc.steps - 1, tc.errLast}, {tc.steps / 2, tc.errMid}} {
+				_, err := RunSource(tc.src, Options{Quantum: tc.quantum, MaxSteps: c.max})
+				want := "minilang: runtime error in " + c.want + ": " + limit
+				if err == nil || err.Error() != want {
+					t.Errorf("MaxSteps %d: err = %v, want %q", c.max, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestAddressOverflowIsRuntimeError covers heap accesses whose end address
+// overflows int64: each must fail with a RuntimeError, not pass the bounds
+// check and panic on the heap index.
+func TestAddressOverflowIsRuntimeError(t *testing.T) {
+	cases := map[string]string{
+		"load":     `fn main() { var p = 0; print(p[9223372036854775807]); }`,
+		"store":    `fn main() { var p = 0; p[9223372036854775807] = 1; }`,
+		"base":     `fn main() { var x = 9223372036854775807; print(x[0]); }`,
+		"sysread":  `fn main() { sysread(9223372036854775806, 4); }`,
+		"syswrite": `fn main() { syswrite(9223372036854775806, 4); }`,
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			_, err := RunSource(src, Options{})
+			var rt *RuntimeError
+			if !errors.As(err, &rt) || !strings.Contains(rt.Msg, "invalid memory access") {
+				t.Fatalf("err = %v, want invalid memory access RuntimeError", err)
+			}
+		})
 	}
 }
 
