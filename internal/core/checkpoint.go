@@ -28,26 +28,28 @@ import (
 // counts, keeping the MaxMemoryBytes size estimate — and with it every
 // future sampling decision — unchanged across resume.
 //
-// File layout (version 2): "APCK" magic, version byte, uint32 little-endian
+// File layout (version 3): "APCK" magic, version byte, uint32 little-endian
 // payload length, uint32 little-endian CRC-32 (IEEE) of the payload. The
 // checksum makes a torn checkpoint write (the crash the mechanism exists
 // for) detectable instead of silently resumable. The payload is
 //
 //	uint32 length | gob-encoded checkpointData (the metadata envelope)
-//	table wts | table wkind | table ts of each envelope thread, in order
+//	table w | table ts of each envelope thread, in order
 //
 // where every table is a uint32 byte length followed by its leaf runs: the
-// maximal runs of consecutive non-zero cells within one leaf chunk, in
-// increasing address order. A run is uvarint(start − end of the previous
-// run), uvarint(cell count), then the values — a uvarint each for the
-// uint64 timestamp tables, one raw byte each for wkind. All integers in the
-// framing are little-endian. The wts and wkind tables are empty in rms-only
-// mode. Version 1 files (gob-encoded cell lists) are not read: they are
-// reported as ErrCheckpointCorrupt, like any other checkpoint that cannot
-// be resumed, and the run starts over.
+// maximal runs of consecutive non-zero cells within one leaf chunk
+// (shadow.LeafCells cells), in increasing address order. A run is
+// uvarint(start − end of the previous run), uvarint(cell count), then one
+// uvarint per value: a timestamp for the ts tables, wts<<1 | kernelBit for
+// the write shadow w, whose timestamp part is never 0. All integers in the
+// framing are little-endian. The w table is empty in rms-only mode.
+// Versions 1 (gob-encoded cell lists) and 2 (separate wts and wkind tables
+// over 4096-cell chunks) are not read: they are reported as
+// ErrCheckpointCorrupt, like any other checkpoint that cannot be resumed,
+// and the run starts over.
 
 const checkpointMagic = "APCK"
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // ckptHeaderLen is the size of the framing before the payload: magic,
 // version, payload length, and CRC.
@@ -219,7 +221,7 @@ func (p *Profiler) WriteCheckpoint(w io.Writer, stream StreamState) error {
 		Stream:         stream,
 	}
 	var err error
-	p.ckptBuf, err = encodeCheckpoint(w, p.ckptBuf, &data, p.wts, p.wkind, states)
+	p.ckptBuf, err = encodeCheckpoint(w, p.ckptBuf, &data, p.w, states)
 	return err
 }
 
@@ -280,10 +282,9 @@ func dumpProfilesCkpt(byKey map[Key]*Profile) []ckptProfile {
 
 // encodeCheckpoint assembles the framed APCK document in buf (reused: its
 // previous contents are discarded) and writes it to w, returning the buffer
-// for the next call. wts and wkind are nil in rms-only mode; threads
-// parallels data.Threads. It is the only way either engine emits shadow
-// cells, which is what keeps their checkpoints byte-identical.
-func encodeCheckpoint(w io.Writer, buf []byte, data *checkpointData, wts *shadow.Table[uint64], wkind *shadow.Table[uint8], threads []*threadState) ([]byte, error) {
+// for the next call. ws (the write shadow) is nil in rms-only mode; threads
+// parallels data.Threads.
+func encodeCheckpoint(w io.Writer, buf []byte, data *checkpointData, ws *shadow.Table[uint64], threads []*threadState) ([]byte, error) {
 	// The header and the envelope length lead the document; both are
 	// filled in once what they describe has been appended.
 	var lead [ckptHeaderLen + 4]byte
@@ -293,10 +294,9 @@ func encodeCheckpoint(w io.Writer, buf []byte, data *checkpointData, wts *shadow
 	}
 	buf = env.Bytes()
 	binary.LittleEndian.PutUint32(buf[ckptHeaderLen:], uint32(len(buf)-len(lead)))
-	buf = appendTable(buf, wts, binary.AppendUvarint)
-	buf = appendTable(buf, wkind, appendByte)
+	buf = appendTable(buf, ws)
 	for _, t := range threads {
-		buf = appendTable(buf, t.ts, binary.AppendUvarint)
+		buf = appendTable(buf, t.ts)
 	}
 	payload := buf[ckptHeaderLen:]
 	copy(buf, checkpointMagic)
@@ -310,14 +310,14 @@ func encodeCheckpoint(w io.Writer, buf []byte, data *checkpointData, wts *shadow
 }
 
 // appendTable appends one table section — a uint32 byte length, then the
-// leaf runs of t's non-zero cells in address order — with appendVal
-// encoding each value. A nil table is an empty section.
-func appendTable[T uint8 | uint64](buf []byte, t *shadow.Table[T], appendVal func([]byte, T) []byte) []byte {
+// leaf runs of t's non-zero cells in address order. A nil table is an empty
+// section.
+func appendTable(buf []byte, t *shadow.Table[uint64]) []byte {
 	at := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
 	if t != nil {
 		var end uint64
-		t.Leaves(func(base trace.Addr, cells []T) {
+		t.Leaves(func(base trace.Addr, cells []uint64) {
 			for i := 0; i < len(cells); i++ {
 				// Most cells of a leaf are zero: skip them four at a time.
 				for i+4 <= len(cells) && cells[i]|cells[i+1]|cells[i+2]|cells[i+3] == 0 {
@@ -334,7 +334,7 @@ func appendTable[T uint8 | uint64](buf []byte, t *shadow.Table[T], appendVal fun
 				buf = binary.AppendUvarint(buf, start-end)
 				buf = binary.AppendUvarint(buf, uint64(j-i))
 				for _, v := range cells[i:j] {
-					buf = appendVal(buf, v)
+					buf = binary.AppendUvarint(buf, v)
 				}
 				end = start + uint64(j-i)
 				i = j
@@ -348,9 +348,9 @@ func appendTable[T uint8 | uint64](buf []byte, t *shadow.Table[T], appendVal fun
 // checkpointDoc is an integrity-checked checkpoint: the decoded envelope
 // and its still-encoded table sections (ts parallels data.Threads).
 type checkpointDoc struct {
-	data       checkpointData
-	wts, wkind []byte
-	ts         [][]byte
+	data checkpointData
+	w    []byte
+	ts   [][]byte
 }
 
 // corrupt formats an ErrCheckpointCorrupt error.
@@ -401,10 +401,7 @@ func readCheckpoint(r io.Reader) (*checkpointDoc, error) {
 	if er.Len() != 0 {
 		return nil, corrupt("%d trailing bytes after the envelope", er.Len())
 	}
-	if doc.wts, rest, err = splitSection(rest, "wts table"); err != nil {
-		return nil, err
-	}
-	if doc.wkind, rest, err = splitSection(rest, "wkind table"); err != nil {
+	if doc.w, rest, err = splitSection(rest, "write table"); err != nil {
 		return nil, err
 	}
 	doc.ts = make([][]byte, len(doc.data.Threads))
@@ -432,13 +429,13 @@ func splitSection(p []byte, what string) (section, rest []byte, err error) {
 }
 
 // loadTable decodes one table section's runs into t, or only validates them
-// when t is nil. readVal decodes one value, returning its size (≤ 0 when
-// the bytes are truncated or malformed). Each run is checked before any of
-// its cells is stored: every value takes at least one byte, so a run longer
-// than the bytes left is corrupt, and a run may not leave its leaf chunk —
-// the table therefore materializes at most one leaf per run the payload
-// actually holds.
-func loadTable[T uint8 | uint64](data []byte, t *shadow.Table[T], readVal func([]byte) (T, int)) error {
+// when t is nil. Every value must be at least minVal: 1 for a timestamp
+// table, 2 for the write shadow, whose timestamp part w>>1 is never 0. Each
+// run is checked before any of its cells is stored: every value takes at
+// least one byte, so a run longer than the bytes left is corrupt, and a run
+// may not leave its leaf chunk — the table therefore materializes at most
+// one leaf per run the payload actually holds.
+func loadTable(data []byte, t *shadow.Table[uint64], minVal uint64) error {
 	var end uint64
 	for len(data) > 0 {
 		gap, n := binary.Uvarint(data)
@@ -462,8 +459,8 @@ func loadTable[T uint8 | uint64](data []byte, t *shadow.Table[T], readVal func([
 			return corrupt("run of %d cells at %#x crosses a leaf chunk", count, start)
 		}
 		for i := uint64(0); i < count; i++ {
-			v, n := readVal(data)
-			if n <= 0 || v == 0 {
+			v, n := binary.Uvarint(data)
+			if n <= 0 || v < minVal {
 				return corrupt("malformed or zero cell value at %#x", start+i)
 			}
 			data = data[n:]
@@ -477,15 +474,6 @@ func loadTable[T uint8 | uint64](data []byte, t *shadow.Table[T], readVal func([
 		}
 	}
 	return nil
-}
-
-func appendByte(dst []byte, v uint8) []byte { return append(dst, v) }
-
-func readByte(p []byte) (uint8, int) {
-	if len(p) == 0 {
-		return 0, 0
-	}
-	return p[0], 1
 }
 
 // ReadCheckpointState reads just the stream position from a checkpoint,
@@ -508,22 +496,18 @@ func ReadCheckpointState(r io.Reader, cfg Config) (StreamState, error) {
 	return doc.data.Stream, nil
 }
 
-// load decodes the table sections into p's write shadows and its threads'
+// load decodes the table sections into p's write shadow and its threads'
 // ts tables, or only validates them when p is nil. A configuration without
-// a write shadow (rms-only) must carry empty wts and wkind sections.
+// a write shadow (rms-only) must carry an empty w section.
 func (doc *checkpointDoc) load(p *Profiler) error {
-	if cfg := doc.data.Cfg; !cfg.ThreadInput && !cfg.ExternalInput && len(doc.wts)+len(doc.wkind) > 0 {
+	if cfg := doc.data.Cfg; !cfg.ThreadInput && !cfg.ExternalInput && len(doc.w) > 0 {
 		return corrupt("write shadow in an rms-only checkpoint")
 	}
-	var wts *shadow.Table[uint64]
-	var wkind *shadow.Table[uint8]
+	var w *shadow.Table[uint64]
 	if p != nil {
-		wts, wkind = p.wts, p.wkind
+		w = p.w
 	}
-	if err := loadTable(doc.wts, wts, binary.Uvarint); err != nil {
-		return err
-	}
-	if err := loadTable(doc.wkind, wkind, readByte); err != nil {
+	if err := loadTable(doc.w, w, 1<<1); err != nil {
 		return err
 	}
 	for i, ct := range doc.data.Threads {
@@ -531,7 +515,7 @@ func (doc *checkpointDoc) load(p *Profiler) error {
 		if p != nil {
 			ts = p.thread(trace.ThreadID(ct.ID)).ts
 		}
-		if err := loadTable(doc.ts[i], ts, binary.Uvarint); err != nil {
+		if err := loadTable(doc.ts[i], ts, 1); err != nil {
 			return err
 		}
 	}

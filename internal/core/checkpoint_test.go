@@ -58,12 +58,11 @@ func runSplit(t *testing.T, tr *trace.Trace, cfg Config, n int) *Profiles {
 }
 
 // leafCounts returns the materialized leaf chunks of every shadow table of
-// p, keyed by table ("wts", "wkind", "ts<thread>").
+// p, keyed by table ("w", "ts<thread>").
 func leafCounts(p *Profiler) map[string]int {
 	out := make(map[string]int)
-	if p.wts != nil {
-		out["wts"] = p.wts.LeafChunks()
-		out["wkind"] = p.wkind.LeafChunks()
+	if p.w != nil {
+		out["w"] = p.w.LeafChunks()
 	}
 	for id, t := range p.threads {
 		out[fmt.Sprintf("ts%d", id)] = t.ts.LeafChunks()
@@ -207,7 +206,8 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 
 // cellsState returns a profiler that has read n cells and written n cells
 // of one leaf chunk inside a single open activation per thread, so states
-// built for different n differ only in their number of non-zero cells.
+// built for different n ≤ shadow.LeafCells differ only in their number of
+// non-zero cells.
 func cellsState(t *testing.T, n int) *Profiler {
 	t.Helper()
 	b := trace.NewBuilder()
@@ -215,7 +215,7 @@ func cellsState(t *testing.T, n int) *Profiler {
 		th := b.Thread(id)
 		th.Call("touch")
 		th.Read(trace.Addr(id)<<20, uint32(n))
-		th.Write(trace.Addr(id)<<20+4096, uint32(n))
+		th.Write(trace.Addr(id)<<20+shadow.LeafCells, uint32(n))
 	}
 	tr := b.Trace()
 	p := NewProfiler(tr.Symbols, DefaultConfig())
@@ -228,9 +228,9 @@ func cellsState(t *testing.T, n int) *Profiler {
 // TestCheckpointAllocsIndependentOfCells pins the encoder's cost model: a
 // checkpoint written into a reused buffer allocates per leaf chunk, thread
 // and profile, never per cell, so a state with 4× the non-zero cells in the
-// same chunks allocates exactly as much.
+// same chunks (whole chunks, at 4n) allocates exactly as much.
 func TestCheckpointAllocsIndependentOfCells(t *testing.T) {
-	const n = 256
+	const n = shadow.LeafCells / 4
 	allocs := func(p *Profiler) float64 {
 		var buf bytes.Buffer
 		return testing.AllocsPerRun(20, func() {
@@ -272,7 +272,7 @@ func TestCheckpointRejectsMalformedRuns(t *testing.T) {
 		"missing length":          {uv(5), 0},
 		"huge run, short payload": {uv(0, 1<<40, 1, 1, 1), 0},
 		"zero-length run":         {uv(0, 0), 0},
-		"crosses a leaf chunk":    {uv(4095, 2, 1, 1), 0},
+		"crosses a leaf chunk":    {uv(shadow.LeafCells-1, 2, 1, 1), 0},
 		"truncated value":         {append(uv(0, 2, 1), 0x80), 1},
 		"zero value":              {uv(0, 1, 0), 0},
 		"address overflow":        {append(uv(1<<63, 1, 1), uv(1<<63, 1, 1)...), 1},
@@ -280,7 +280,7 @@ func TestCheckpointRejectsMalformedRuns(t *testing.T) {
 	}
 	for name, c := range cases {
 		tab := shadow.New[uint64]()
-		err := loadTable(c.data, tab, binary.Uvarint)
+		err := loadTable(c.data, tab, 1)
 		if !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%s: loadTable = %v, want ErrCheckpointCorrupt", name, err)
 		}
@@ -289,38 +289,42 @@ func TestCheckpointRejectsMalformedRuns(t *testing.T) {
 		}
 	}
 	// A well-formed table: two runs split at a leaf boundary (gap 0).
+	const edge = shadow.LeafCells
 	tab := shadow.New[uint64]()
-	if err := loadTable(uv(4094, 2, 7, 8, 0, 1, 9), tab, binary.Uvarint); err != nil {
+	if err := loadTable(uv(edge-2, 2, 7, 8, 0, 1, 9), tab, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Load(4094) != 7 || tab.Load(4095) != 8 || tab.Load(4096) != 9 || tab.LeafChunks() != 2 {
+	if tab.Load(edge-2) != 7 || tab.Load(edge-1) != 8 || tab.Load(edge) != 9 || tab.LeafChunks() != 2 {
 		t.Errorf("leaf-boundary runs decoded wrongly")
 	}
 }
 
-// TestCheckpointRejectsOtherVersions: a version-1 checkpoint (or any other
-// version) is unusable, reported as ErrCheckpointCorrupt so the daemon
-// discards it and the session starts over.
+// TestCheckpointRejectsOtherVersions: a version-1 or version-2 checkpoint
+// (or any other version) is unusable, reported as ErrCheckpointCorrupt so
+// the daemon discards it and the session starts over.
 func TestCheckpointRejectsOtherVersions(t *testing.T) {
 	p := NewProfiler(trace.NewSymbolTable(), DefaultConfig())
 	var buf bytes.Buffer
 	if err := p.WriteCheckpoint(&buf, StreamState{}); err != nil {
 		t.Fatal(err)
 	}
-	doc := buf.Bytes()
-	doc[len(checkpointMagic)] = 1
-	_, _, err := ResumeProfiler(bytes.NewReader(doc), DefaultConfig())
-	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported checkpoint version 1") {
-		t.Errorf("ResumeProfiler on a v1 header = %v, want unsupported-version ErrCheckpointCorrupt", err)
-	}
-	if _, err := ReadCheckpointState(bytes.NewReader(doc), DefaultConfig()); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("ReadCheckpointState on a v1 header = %v, want ErrCheckpointCorrupt", err)
+	for _, v := range []byte{1, 2} {
+		doc := bytes.Clone(buf.Bytes())
+		doc[len(checkpointMagic)] = v
+		_, _, err := ResumeProfiler(bytes.NewReader(doc), DefaultConfig())
+		if want := fmt.Sprintf("unsupported checkpoint version %d", v); !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("ResumeProfiler on a v%d header = %v, want unsupported-version ErrCheckpointCorrupt", v, err)
+		}
+		if _, err := ReadCheckpointState(bytes.NewReader(doc), DefaultConfig()); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("ReadCheckpointState on a v%d header = %v, want ErrCheckpointCorrupt", v, err)
+		}
 	}
 }
 
 // TestCheckpointRejectsMalformedSections covers the payload framing around
-// the runs: trailing bytes, a missing thread table, and a write shadow in
-// an rms-only checkpoint, each under a valid CRC.
+// the runs and the write shadow's values: trailing bytes, a missing thread
+// table, a write-shadow cell whose timestamp part is 0, and a write shadow
+// in an rms-only checkpoint, each under a valid CRC.
 func TestCheckpointRejectsMalformedSections(t *testing.T) {
 	tr := trace.Random(trace.RandomConfig{Seed: 5, Ops: 80, Threads: 2})
 	write := func(cfg Config) []byte {
@@ -336,13 +340,19 @@ func TestCheckpointRejectsMalformedSections(t *testing.T) {
 	}
 	full := write(DefaultConfig())
 	rmsOnly := write(RMSOnlyConfig())
-	// The rms-only document's empty wts section sits right after the
-	// envelope; give it one well-formed run.
-	envEnd := 4 + int(binary.LittleEndian.Uint32(rmsOnly))
-	withWts := append([]byte{}, rmsOnly[:envEnd]...)
-	withWts = binary.LittleEndian.AppendUint32(withWts, 3)
-	withWts = append(withWts, 0, 1, 1)
-	withWts = append(withWts, rmsOnly[envEnd+4:]...)
+	// withW replaces a document's w section, which sits right after the
+	// envelope, with one run of a single cell holding v.
+	withW := func(payload []byte, v byte) []byte {
+		envEnd := 4 + int(binary.LittleEndian.Uint32(payload))
+		wLen := int(binary.LittleEndian.Uint32(payload[envEnd:]))
+		out := append([]byte{}, payload[:envEnd]...)
+		out = binary.LittleEndian.AppendUint32(out, 3)
+		out = append(out, 0, 1, v)
+		return append(out, payload[envEnd+4+wLen:]...)
+	}
+	if _, _, err := ResumeProfiler(bytes.NewReader(frameCheckpoint(withW(full, 2))), DefaultConfig()); err != nil {
+		t.Fatalf("a w cell holding timestamp 1 from a thread: %v", err)
+	}
 	cases := []struct {
 		name    string
 		payload []byte
@@ -350,7 +360,8 @@ func TestCheckpointRejectsMalformedSections(t *testing.T) {
 	}{
 		{"trailing bytes", append(append([]byte{}, full...), 0), DefaultConfig()},
 		{"truncated thread table", full[:len(full)-1], DefaultConfig()},
-		{"write shadow in rms-only", withWts, RMSOnlyConfig()},
+		{"w cell with timestamp 0", withW(full, 1), DefaultConfig()},
+		{"write shadow in rms-only", withW(rmsOnly, 2), RMSOnlyConfig()},
 	}
 	for _, c := range cases {
 		doc := frameCheckpoint(c.payload)

@@ -122,11 +122,23 @@ var allConfigs = []struct {
 }
 
 // TestDifferentialAgainstNaive cross-checks the timestamping algorithm
-// against the set-based oracle on random traces, for every input-source
-// configuration.
+// against the set-based oracle on random traces and on the leaf-span trace,
+// for every input-source configuration.
 func TestDifferentialAgainstNaive(t *testing.T) {
 	for _, tc := range allConfigs {
 		t.Run(tc.name, func(t *testing.T) {
+			tr := leafSpanTrace()
+			fast, err := Run(tr, tc.cfg)
+			if err != nil {
+				t.Fatalf("leaf-span trace: Run: %v", err)
+			}
+			slow, err := RunNaive(tr, tc.cfg)
+			if err != nil {
+				t.Fatalf("leaf-span trace: RunNaive: %v", err)
+			}
+			if fs, ss := summarize(fast), summarize(slow); !reflect.DeepEqual(fs, ss) {
+				t.Fatalf("leaf-span trace: profiles diverge\nfast: %+v\nnaive: %+v", fs, ss)
+			}
 			for seed := int64(0); seed < 40; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				tr := randomTrace(rng, 200+rng.Intn(600))

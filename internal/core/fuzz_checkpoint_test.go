@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"aprof/internal/shadow"
 	"aprof/internal/trace"
 )
 
@@ -32,9 +33,9 @@ func leafBoundaryTrace() *trace.Trace {
 	t1, t2 := b.Thread(1), b.Thread(2)
 	t1.Call("fill")
 	t2.Call("scan")
-	t1.SysRead(4090, 12)
+	t1.SysRead(shadow.LeafCells-6, 12)
 	t1.Write(3<<40, 5)
-	t2.Read(4090, 12)
+	t2.Read(shadow.LeafCells-6, 12)
 	t2.Read(3<<40, 2)
 	t1.Ret()
 	return b.Trace()
@@ -128,7 +129,7 @@ func FuzzResumeCheckpoint(f *testing.F) {
 			}
 			return
 		}
-		leaves := p.wts.LeafChunks() + p.wkind.LeafChunks()
+		leaves := p.w.LeafChunks()
 		for _, th := range p.threads {
 			leaves += th.ts.LeafChunks()
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"aprof/internal/shadow"
 	"aprof/internal/trace"
 )
 
@@ -65,9 +66,45 @@ func deepStacks() *trace.Trace {
 	return b.Trace()
 }
 
+// leafSpanTrace exercises the profiler's leaf-span walk: events of
+// 2*LeafCells+5 cells that start mid-chunk and so cover three chunk
+// boundaries; writes, reads, kernel fills and kernel drains straddling a
+// boundary; cross-thread and kernel-induced reads of partly written spans;
+// and a read and a kernel fill whose ranges wrap past the top of the
+// address space to 0.
+func leafSpanTrace() *trace.Trace {
+	const (
+		leaf = shadow.LeafCells
+		long = 2*leaf + 5
+		top  = trace.Addr(1<<64 - 3) // the last three cells before the wrap
+	)
+	b := trace.NewBuilder()
+	t1, t2 := b.Thread(1), b.Thread(2)
+	t1.Call("produce")
+	t2.Call("consume")
+	t1.Write(leaf-3, long)  // thread-written span over three boundaries
+	t2.Read(leaf-7, long)   // mostly induced by t1, a few first reads
+	t1.SysRead(3*leaf-2, 4) // kernel fill straddling a boundary ...
+	t1.Write1(3*leaf - 1)   // ... partly overwritten by the thread
+	t2.Read(3*leaf-4, long) // thread-, kernel-induced and first reads
+	t1.SysRead(top, 8)      // kernel fill wrapping to 0..4
+	t2.Read(top-1, long)    // read wrapping past the top
+	t2.SysWrite(leaf-1, 3)  // kernel drain straddling a boundary
+	t2.Call("rescan")
+	t2.Read(0, long) // re-reads: discharges the ancestor's first reads
+	t2.Write(2*leaf-2, 4)
+	t2.Ret()
+	t1.Read(top, 10)     // kernel-induced across the wrap, then first reads
+	t1.Read(2*leaf-3, 6) // induced by t2's write across a boundary
+	t1.Ret()
+	t2.Ret()
+	return b.Trace()
+}
+
 // naiveFuzzSeeds returns encoded traces that exercise the interesting
 // machinery: cross-thread induced reads, same-counter write pairs, deep
-// stacks, kernel I/O, synchronized hand-offs, leaf-chunk boundaries, and
+// stacks, kernel I/O, synchronized hand-offs, leaf-chunk boundaries,
+// multi-chunk and wrapping spans, and
 // the v2 framing (small frames force resyncs on mutation). The first four
 // traces also back the committed corpus under testdata/fuzz/FuzzProfileNaive.
 func naiveFuzzSeeds(tb testing.TB) [][]byte {
@@ -94,6 +131,7 @@ func naiveFuzzSeeds(tb testing.TB) [][]byte {
 		leafBoundaryTrace(),
 		randomTrace(rand.New(rand.NewSource(5)), 150),
 		trace.Random(trace.RandomConfig{Seed: 12, Threads: 6, Ops: 200, Cells: 4}),
+		leafSpanTrace(),
 	} {
 		seeds = append(seeds, encode(tr, false), encode(tr, true))
 	}

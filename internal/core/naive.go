@@ -41,6 +41,13 @@ type NaiveProfiler struct {
 
 const kernelWriter trace.ThreadID = -1 << 30
 
+// The source a naive read is induced by, if any.
+const (
+	writerNone uint8 = iota
+	writerThread
+	writerKernel
+)
+
 type naiveCell struct {
 	// writer is the latest writer of the cell: a thread id, kernelWriter,
 	// or absent (cell never written) when the cell is missing from the map.

@@ -2,18 +2,19 @@ package core
 
 // Observability instrumentation of the profiling hot path (Figs. 8/9).
 //
-// Two reporting models keep the per-event cost at one predictable branch
-// plus at most one uncontended atomic add:
+// The per-event cost is one predictable branch plus one plain increment —
+// no atomic operation on the hot path:
 //
-//   - Flow metrics (events by kind) update a pre-resolved obs.Counter
-//     directly from HandleEvent.
+//   - Flow metrics (events by kind) are counted into plain per-kind fields
+//     from HandleEvent.
 //   - State-derived metrics (shadow-stack depth high-water mark, tuple-table
 //     size, shadow-memory chunk counts, hint hit rate, drop counters) are
-//     maintained as the plain fields the algorithm already keeps and
-//     published into the registry at batch boundaries (profio calls
-//     PublishObs after every batch) and at Finish. Monotonic quantities are
-//     published as deltas into counters so concurrent profilers sharing one
-//     registry (RunConcurrent) sum instead of clobbering.
+//     maintained as the plain fields the algorithm already keeps.
+//
+// Both are published into the registry at batch boundaries (profio calls
+// PublishObs after every batch) and at Finish. Monotonic quantities are
+// published as deltas into counters so concurrent profilers sharing one
+// registry (RunConcurrent) sum instead of clobbering.
 //
 // Nothing here is ever read back by the algorithm: enabling a registry
 // cannot change profile output (proved byte-for-byte by the metamorphic
@@ -39,9 +40,10 @@ const (
 // profilerObs holds the pre-resolved metric handles of one profiler plus
 // the last-published values of the delta-reported quantities.
 type profilerObs struct {
-	// Per-event flow counters, indexed by trace.Kind.
-	events        [trace.NumKinds]*obs.Counter
-	invalidEvents *obs.Counter
+	// Per-event flow counters, indexed by trace.Kind, with events_invalid
+	// last; counts holds the events of each kind not yet published.
+	events [trace.NumKinds + 1]*obs.Counter
+	counts [trace.NumKinds + 1]uint64
 
 	depthHWM    *obs.Gauge
 	tuplePoints *obs.Gauge
@@ -89,36 +91,33 @@ func newProfilerObs(reg *obs.Registry) *profilerObs {
 	core := reg.Scope(ObsScopeCore)
 	shadow := reg.Scope(ObsScopeShadow)
 	o := &profilerObs{
-		invalidEvents: core.Counter("events_invalid"),
-		depthHWM:      core.Gauge("stack_depth_hwm"),
-		tuplePoints:   core.Gauge("tuple_points"),
-		ckptWrite:     core.Histogram("checkpoint_write_us"),
-		ckptResume:    core.Histogram("checkpoint_resume_us"),
-		leafChunks:    shadow.Counter("leaf_chunks"),
-		hintHits:      shadow.Counter("hint_hits"),
-		hintLookups:   shadow.Counter("hint_lookups"),
+		depthHWM:    core.Gauge("stack_depth_hwm"),
+		tuplePoints: core.Gauge("tuple_points"),
+		ckptWrite:   core.Histogram("checkpoint_write_us"),
+		ckptResume:  core.Histogram("checkpoint_resume_us"),
+		leafChunks:  shadow.Counter("leaf_chunks"),
+		hintHits:    shadow.Counter("hint_hits"),
+		hintLookups: shadow.Counter("hint_lookups"),
 	}
 	for k := 0; k < trace.NumKinds; k++ {
 		o.events[k] = core.Counter("events_" + trace.Kind(k).String())
 	}
+	o.events[trace.NumKinds] = core.Counter("events_invalid")
 	for i, name := range dropCounterNames {
 		o.drops[i] = core.Counter(name)
 	}
 	return o
 }
 
-// countEvent is the per-event hot-path hook: one bounds check and one
-// atomic add.
+// countEvent is the per-event hot-path hook: one plain increment, an
+// undefined kind counting as invalid.
 func (o *profilerObs) countEvent(k trace.Kind) {
-	if int(k) < len(o.events) {
-		o.events[k].Inc()
-	} else {
-		o.invalidEvents.Inc()
-	}
+	o.counts[min(int(k), trace.NumKinds)]++
 }
 
 // PublishObs refreshes the state-derived metrics from the profiler's
-// current data structures: the shadow-stack depth high-water mark, the
+// current data structures and publishes the events counted since the last
+// call: the events by kind, the shadow-stack depth high-water mark, the
 // tuple-table size (cost-plot points across all profiles, the analogue of
 // aprof's tuple count), shadow-memory chunk and hint accounting, and the
 // per-category drop counters. profio calls it after every profiled batch;
@@ -132,6 +131,10 @@ func (p *Profiler) PublishObs() {
 	if o == nil {
 		return
 	}
+	for k, n := range o.counts {
+		o.events[k].Add(n)
+	}
+	o.counts = [trace.NumKinds + 1]uint64{}
 	o.depthHWM.SetMax(int64(p.depthHWM))
 
 	points := 0
@@ -147,11 +150,9 @@ func (p *Profiler) PublishObs() {
 		hits += h
 		lookups += l
 	}
-	if p.wts != nil {
-		h, l := p.wts.HintStats()
-		observe(p.wts.LeafChunks(), h, l)
-		h, l = p.wkind.HintStats()
-		observe(p.wkind.LeafChunks(), h, l)
+	if p.w != nil {
+		h, l := p.w.HintStats()
+		observe(p.w.LeafChunks(), h, l)
 	}
 	for _, t := range p.threads {
 		h, l := t.ts.HintStats()

@@ -94,16 +94,21 @@ func RMSOnlyConfig() Config {
 	return Config{}
 }
 
-// writer kinds stored in the wkind shadow alongside wts.
-const (
-	writerNone   uint8 = 0
-	writerThread uint8 = 1
-	writerKernel uint8 = 2
-)
+// kernelBit is the low bit of a write-shadow cell, w[ℓ] = wts[ℓ]<<1 |
+// kernelBit: set when the latest writer of ℓ was the kernel, clear when it
+// was an application thread. A cell never written holds 0, so "no writer"
+// is exactly w[ℓ] == 0 and its timestamp part w>>1 is the sentinel 0.
+const kernelBit = 1
 
-// practicalInfinity is the default counter limit: far beyond any trace this
-// implementation can process, yet small enough that limit+1 cannot overflow.
+// practicalInfinity is the default counter limit and the cap on any
+// configured one: far beyond any trace this implementation can process, yet
+// small enough that limit+1 cannot overflow and that every timestamp fits a
+// write-shadow cell after the shift by one.
 const practicalInfinity = 1<<63 - 1
+
+// noWrites is the write-shadow span of a leaf chunk that was never written:
+// all zero, so no read through it is induced. It is only ever read.
+var noWrites [shadow.LeafCells]uint64
 
 // activation carries the values collected when an activation completes.
 type activation struct {
@@ -160,13 +165,13 @@ type Profiler struct {
 	count uint64
 	limit uint64
 
-	// wts is the global shadow memory of latest-write timestamps; wkind
-	// records whether the latest writer was an application thread or the
-	// kernel, for the thread/external attribution of induced first-reads.
-	// Both stay nil when neither dynamic input source is enabled (rms-only
+	// w is the global write shadow: w[ℓ] = wts[ℓ]<<1 | kernelBit holds the
+	// latest-write timestamp of ℓ together with whether that writer was an
+	// application thread or the kernel, for the thread/external attribution
+	// of induced first-reads — one table, so one lookup per leaf span. It
+	// stays nil when neither dynamic input source is enabled (rms-only
 	// mode), mirroring aprof's lack of a global shadow memory.
-	wts   *shadow.Table[uint64]
-	wkind *shadow.Table[uint8]
+	w *shadow.Table[uint64]
 
 	threads map[trace.ThreadID]*threadState
 	ctx     *contextTable
@@ -199,7 +204,7 @@ type Profiler struct {
 // NewProfiler returns a profiler for traces built against syms.
 func NewProfiler(syms *trace.SymbolTable, cfg Config) *Profiler {
 	limit := cfg.CounterLimit
-	if limit == 0 {
+	if limit == 0 || limit > practicalInfinity {
 		limit = practicalInfinity
 	}
 	p := &Profiler{
@@ -224,8 +229,7 @@ func NewProfiler(syms *trace.SymbolTable, cfg Config) *Profiler {
 		p.nextEventCheck = uint64(cfg.Limits.MaxEvents)
 	}
 	if cfg.ThreadInput || cfg.ExternalInput {
-		p.wts = shadow.New[uint64]()
-		p.wkind = shadow.New[uint8]()
+		p.w = shadow.New[uint64]()
 	}
 	if cfg.ContextSensitive {
 		p.ctx = newContextTable()
@@ -284,7 +288,7 @@ func (p *Profiler) HandleEvent(ev *trace.Event) error {
 		if p.sampledOut() {
 			return nil
 		}
-		ev.Cells(func(a trace.Addr) { p.onRead(t, a) })
+		p.readRange(t, ev.Addr, ev.Size)
 		return nil
 	case trace.KindWrite:
 		t := p.thread(ev.Thread)
@@ -292,7 +296,7 @@ func (p *Profiler) HandleEvent(ev *trace.Event) error {
 		if p.sampledOut() {
 			return nil
 		}
-		ev.Cells(func(a trace.Addr) { p.onWrite(t, a) })
+		p.writeRange(t, ev.Addr, ev.Size)
 		return nil
 	case trace.KindUserToKernel:
 		// Read memory accesses by the operating system are regarded as read
@@ -303,7 +307,7 @@ func (p *Profiler) HandleEvent(ev *trace.Event) error {
 		if p.sampledOut() {
 			return nil
 		}
-		ev.Cells(func(a trace.Addr) { p.onRead(t, a) })
+		p.readRange(t, ev.Addr, ev.Size)
 		return nil
 	case trace.KindKernelToUser:
 		return p.onKernelToUser(ev)
@@ -352,9 +356,8 @@ func (p *Profiler) sampledOut() bool {
 // sampling decisions.
 func (p *Profiler) liveBytesEstimate() int64 {
 	var total int64
-	if p.wts != nil {
-		total += p.wts.SizeBytes(8)
-		total += p.wkind.SizeBytes(1)
+	if p.w != nil {
+		total += p.w.SizeBytes(8)
 	}
 	const frameSize = 8 * 8
 	for _, t := range p.threads {
@@ -521,12 +524,35 @@ func (p *Profiler) popFrame(t *threadState, retCost uint64) {
 	t.stack = t.stack[:top]
 }
 
+// readRange applies onRead to the size cells from addr, in ascending
+// address order (wrapping past the top of the address space to 0, as
+// trace.Event.Cells does), one leaf-aligned span at a time: each span
+// resolves the thread's ts leaf and the write-shadow leaf once.
+func (p *Profiler) readRange(t *threadState, addr trace.Addr, size uint32) {
+	for n := uint64(size); n > 0; {
+		ts := t.ts.Span(addr, n)
+		var w []uint64
+		if p.w != nil {
+			w = p.w.PeekSpan(addr, uint64(len(ts)))
+		}
+		if w == nil {
+			w = noWrites[:len(ts)]
+		}
+		for i := range ts {
+			p.onRead(t, &ts[i], w[i])
+		}
+		addr += trace.Addr(len(ts))
+		n -= uint64(len(ts))
+	}
+}
+
 // onRead implements the read(ℓ,t) handler of Fig. 8, extended to classify
 // the source of induced first-reads and to maintain the rms in parallel.
-func (p *Profiler) onRead(t *threadState, a trace.Addr) {
-	tsSlot := t.ts.Slot(a)
-	old := *tsSlot
-	*tsSlot = p.count
+// slot is ts_t[ℓ] and w the write-shadow cell w[ℓ] (0 when ℓ was never
+// written or no write shadow is kept).
+func (p *Profiler) onRead(t *threadState, slot *uint64, w uint64) {
+	old := *slot
+	*slot = p.count
 
 	if len(t.stack) == 0 {
 		return
@@ -535,23 +561,18 @@ func (p *Profiler) onRead(t *threadState, a trace.Addr) {
 	firstAccess := old < top.ts
 
 	induced := false
-	if p.wts != nil {
-		if w := p.wts.Load(a); old < w {
-			// The location was written, by some thread different from t or
-			// by the kernel, since t's latest access (a write by t itself
-			// would have set ts_t[ℓ] = wts[ℓ]).
-			switch p.wkind.Load(a) {
-			case writerThread:
-				if p.cfg.ThreadInput {
-					induced = true
-					top.indThread++
-				}
-			case writerKernel:
-				if p.cfg.ExternalInput {
-					induced = true
-					top.indExternal++
-				}
+	if old < w>>1 {
+		// The location was written, by some thread different from t or by
+		// the kernel, since t's latest access (a write by t itself would
+		// have set ts_t[ℓ] = wts[ℓ]).
+		if w&kernelBit == 0 {
+			if p.cfg.ThreadInput {
+				induced = true
+				top.indThread++
 			}
+		} else if p.cfg.ExternalInput {
+			induced = true
+			top.indExternal++
 		}
 	}
 	if !induced && firstAccess {
@@ -576,15 +597,20 @@ func (p *Profiler) onRead(t *threadState, a trace.Addr) {
 	}
 }
 
-// onWrite implements the write(ℓ,t) handler of Fig. 8. Writes mark the cell
-// as produced by the thread: they update the local timestamp (so later local
-// reads are not first accesses) and the global write timestamp (so reads by
-// *other* threads become induced first-reads).
-func (p *Profiler) onWrite(t *threadState, a trace.Addr) {
-	t.ts.Store(a, p.count)
-	if p.wts != nil {
-		p.wts.Store(a, p.count)
-		p.wkind.Store(a, writerThread)
+// writeRange implements the write(ℓ,t) handler of Fig. 8 for the size
+// cells from addr, one leaf-aligned span at a time. Writes mark the cells
+// as produced by the thread: they update the local timestamp (so later
+// local reads are not first accesses) and the global write timestamp (so
+// reads by *other* threads become induced first-reads).
+func (p *Profiler) writeRange(t *threadState, addr trace.Addr, size uint32) {
+	for n := uint64(size); n > 0; {
+		ts := t.ts.Span(addr, n)
+		fill(ts, p.count)
+		if p.w != nil {
+			fill(p.w.Span(addr, uint64(len(ts))), p.count<<1)
+		}
+		addr += trace.Addr(len(ts))
+		n -= uint64(len(ts))
 	}
 }
 
@@ -598,7 +624,7 @@ func (p *Profiler) onKernelToUser(ev *trace.Event) error {
 	}
 	t := p.thread(ev.Thread)
 	t.cost = ev.Cost
-	if p.wts == nil {
+	if p.w == nil {
 		return nil
 	}
 	// The counter tick is kept even when the event is sampled out: the
@@ -606,11 +632,20 @@ func (p *Profiler) onKernelToUser(ev *trace.Event) error {
 	if p.sampledOut() {
 		return nil
 	}
-	ev.Cells(func(a trace.Addr) {
-		p.wts.Store(a, p.count)
-		p.wkind.Store(a, writerKernel)
-	})
+	addr := ev.Addr
+	for n := uint64(ev.Size); n > 0; {
+		w := p.w.Span(addr, n)
+		fill(w, p.count<<1|kernelBit)
+		addr += trace.Addr(len(w))
+		n -= uint64(len(w))
+	}
 	return nil
+}
+
+func fill(cells []uint64, v uint64) {
+	for i := range cells {
+		cells[i] = v
+	}
 }
 
 // deepestAncestor returns the maximum index i such that stack[i].ts <= ts.
@@ -630,9 +665,8 @@ func deepestAncestor(stack []frame, ts uint64) (int, bool) {
 // comparator harness for the space-overhead experiments.
 func (p *Profiler) SpaceBytes() int64 {
 	var total int64
-	if p.wts != nil {
-		total += p.wts.SizeBytes(8)
-		total += p.wkind.SizeBytes(1)
+	if p.w != nil {
+		total += p.w.SizeBytes(8)
 	}
 	const frameSize = 8 * 8
 	for _, t := range p.threads {

@@ -186,3 +186,49 @@ func TestObsRunConcurrentSharedRegistry(t *testing.T) {
 		t.Errorf("shared events counters sum to %d, fleet processed %d", got, total)
 	}
 }
+
+// TestObsEventCountsPerBatch: the core events_<kind> counters are
+// published at batch boundaries, so when OnBatch runs after each profio
+// batch — and after the run — every counter equals the events of its kind
+// delivered so far. Two streams publish into one registry in turn, so the
+// second stream's counts add to the first's.
+func TestObsEventCountsPerBatch(t *testing.T) {
+	reg := obs.NewRegistry()
+	var want [trace.NumKinds]uint64
+	check := func(when string) {
+		t.Helper()
+		cs := reg.Snapshot().Scope(core.ObsScopeCore)
+		for k, n := range want {
+			if got := cs.Counter("events_" + trace.Kind(k).String()); got != n {
+				t.Errorf("%s: events_%s = %d, want %d", when, trace.Kind(k), got, n)
+			}
+		}
+	}
+	for _, seed := range []int64{21, 22} {
+		tr := trace.Random(trace.RandomConfig{Seed: seed, Ops: 1500, Threads: 3})
+		var buf bytes.Buffer
+		if err := trace.WriteBinary2(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		before := want
+		batches := 0
+		opts := StreamOptions{BatchSize: 200, OnBatch: func(batch int, delivered uint64) error {
+			batches++
+			want = before
+			for _, ev := range tr.Events[:delivered] {
+				want[ev.Kind]++
+			}
+			check("seed " + strconv.FormatInt(seed, 10) + ", batch " + strconv.Itoa(batch))
+			return nil
+		}}
+		cfg := core.DefaultConfig()
+		cfg.Obs = reg
+		if _, err := ProfileStream(context.Background(), &buf, cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		if batches < 2 {
+			t.Fatalf("seed %d: %d batches, want several", seed, batches)
+		}
+		check("seed " + strconv.FormatInt(seed, 10) + ", after the run")
+	}
+}

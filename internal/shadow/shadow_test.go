@@ -77,10 +77,10 @@ func TestAgainstMapOracle(t *testing.T) {
 func TestForEachVisitsExactlyNonZero(t *testing.T) {
 	m := New[uint64]()
 	want := map[trace.Addr]uint64{
-		3:       1,
-		4096:    2,
-		1 << 30: 3,
-		1 << 50: 4,
+		3:         1,
+		LeafCells: 2,
+		1 << 30:   3,
+		1 << 50:   4,
 	}
 	for a, v := range want {
 		m.Store(a, v)
@@ -106,7 +106,7 @@ func TestForEachVisitsExactlyNonZero(t *testing.T) {
 // with the chunk's base address and its cells.
 func TestLeavesAddressOrder(t *testing.T) {
 	m := New[uint8]()
-	addrs := []trace.Addr{1 << 50, 7, 1 << 30, 4096 + 5, 3<<40 + 4095, 1<<30 + 2*LeafCells}
+	addrs := []trace.Addr{1 << 50, 7, 1 << 30, LeafCells + 5, 3<<40 + LeafCells - 1, 1<<30 + 2*LeafCells}
 	for i, a := range addrs {
 		m.Store(a, uint8(i+1))
 	}
@@ -171,19 +171,6 @@ func TestSpaceAccounting(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := New[uint64]()
-	m.Store(5, 5)
-	m.Reset()
-	if m.Load(5) != 0 || m.LeafChunks() != 0 {
-		t.Error("Reset did not clear the table")
-	}
-	m.Store(5, 7)
-	if m.Load(5) != 7 {
-		t.Error("table unusable after Reset")
-	}
-}
-
 // TestQuickStoreLoad is a property test: a Store followed by a Load of the
 // same address returns the stored value, and a Load of a different address
 // in a fresh table returns zero.
@@ -226,7 +213,7 @@ func BenchmarkLoadDense(b *testing.B) {
 
 // TestHintStats checks the locality-hint accounting feeding the
 // observability layer: same-node accesses hit the hint, a node switch
-// misses it, and Reset clears the counters.
+// misses it, and every span lookup counts once whatever its length.
 func TestHintStats(t *testing.T) {
 	m := New[uint64]()
 	if hits, lookups := m.HintStats(); hits != 0 || lookups != 0 {
@@ -249,9 +236,127 @@ func TestHintStats(t *testing.T) {
 	if h2, l2 := m.HintStats(); l2 != 4 || h2 != 2 {
 		t.Errorf("after node switch: hits=%d lookups=%d, want 2/4", h2, l2)
 	}
-	// Hits never exceed lookups, and Reset clears both.
-	m.Reset()
-	if h3, l3 := m.HintStats(); h3 != 0 || l3 != 0 {
-		t.Errorf("after Reset: hits=%d lookups=%d", h3, l3)
+	// A span is one lookup, however many cells it returns.
+	m.Span(far, LeafCells)
+	m.PeekSpan(far+LeafCells, LeafCells)
+	if h3, l3 := m.HintStats(); l3 != 6 || h3 != 4 {
+		t.Errorf("after two span lookups: hits=%d lookups=%d, want 4/6", h3, l3)
+	}
+}
+
+// TestSpanClipsAtLeafEnd: Span returns min(n, cells left in the leaf)
+// cells starting at addr, aliasing the table's storage.
+func TestSpanClipsAtLeafEnd(t *testing.T) {
+	for _, c := range []struct {
+		addr trace.Addr
+		n    uint64
+		want int
+	}{
+		{0, 1, 1},
+		{0, LeafCells, LeafCells},
+		{0, LeafCells + 1, LeafCells}, // n larger than a leaf
+		{0, 1 << 40, LeafCells},       // far larger
+		{LeafCells - 1, 2, 1},         // last cell of a leaf
+		{LeafCells - 3, 2, 2},         // ends before the leaf does
+		{5*LeafCells + 7, 3 * LeafCells, LeafCells - 7},
+		{1<<64 - 1, 1, 1},       // the top cell
+		{1<<64 - 1, 1 << 32, 1}, // clipped at the top: no wrap
+		{1<<64 - LeafCells, 2 * LeafCells, LeafCells},
+	} {
+		m := New[uint64]()
+		span := m.Span(c.addr, c.n)
+		if len(span) != c.want {
+			t.Errorf("Span(%#x, %d) has %d cells, want %d", c.addr, c.n, len(span), c.want)
+			continue
+		}
+		if m.LeafChunks() != 1 {
+			t.Errorf("Span(%#x, %d) materialized %d leaves, want 1", c.addr, c.n, m.LeafChunks())
+		}
+		for i := range span {
+			span[i] = uint64(i) + 1
+		}
+		for i := range span {
+			if got := m.Load(c.addr + trace.Addr(i)); got != uint64(i)+1 {
+				t.Errorf("Span(%#x, %d): cell %d stored %d, Load sees %d", c.addr, c.n, i, i+1, got)
+			}
+		}
+		if peek := m.PeekSpan(c.addr, c.n); len(peek) != c.want || &peek[0] != &span[0] {
+			t.Errorf("PeekSpan(%#x, %d) does not alias Span's cells", c.addr, c.n)
+		}
+	}
+}
+
+// TestSpanWalkWrapsLikeCells: walking a range span by span — advancing the
+// address by each span's length — visits exactly the cells Event.Cells
+// does, in the same order, including ranges that wrap past 2⁶⁴−1 to 0.
+func TestSpanWalkWrapsLikeCells(t *testing.T) {
+	for _, c := range []struct {
+		addr trace.Addr
+		size uint32
+	}{
+		{0, 1},
+		{LeafCells - 3, 2*LeafCells + 5},
+		{1<<64 - 1, 1},
+		{1<<64 - 1, 2},
+		{1<<64 - 3, 2*LeafCells + 5},
+		{1<<64 - LeafCells, LeafCells},
+		{1<<64 - LeafCells, LeafCells + 1},
+	} {
+		m := New[uint64]()
+		var walked []trace.Addr
+		addr := c.addr
+		for n := uint64(c.size); n > 0; {
+			span := m.Span(addr, n)
+			for i := range span {
+				span[i] = uint64(len(walked)) + 1
+				walked = append(walked, addr+trace.Addr(i))
+			}
+			addr += trace.Addr(len(span))
+			n -= uint64(len(span))
+		}
+		var want []trace.Addr
+		trace.Event{Kind: trace.KindRead, Addr: c.addr, Size: c.size}.Cells(func(a trace.Addr) { want = append(want, a) })
+		if len(walked) != len(want) {
+			t.Fatalf("walk from %#x over %d cells visited %d, Cells %d", c.addr, c.size, len(walked), len(want))
+		}
+		for i := range want {
+			if walked[i] != want[i] {
+				t.Fatalf("walk from %#x: cell %d is %#x, Cells gives %#x", c.addr, i, walked[i], want[i])
+			}
+			if got := m.Load(want[i]); got != uint64(i)+1 {
+				t.Fatalf("walk from %#x: cell %#x holds %d, want %d", c.addr, want[i], got, i+1)
+			}
+		}
+	}
+}
+
+// TestPeekSpanNeverMaterializes: PeekSpan of an absent leaf — in an empty
+// table, next to a materialized leaf, in a materialized node and at the top
+// of the address space — returns nil and leaves LeafChunks unchanged.
+func TestPeekSpanNeverMaterializes(t *testing.T) {
+	m := New[uint64]()
+	for _, a := range []trace.Addr{0, LeafCells, 1<<64 - 1, 1 << 40} {
+		if span := m.PeekSpan(a, LeafCells); span != nil {
+			t.Errorf("PeekSpan(%#x) on an empty table = %d cells, want nil", a, len(span))
+		}
+	}
+	if m.LeafChunks() != 0 {
+		t.Fatalf("PeekSpan materialized %d leaves", m.LeafChunks())
+	}
+	m.Store(LeafCells+1, 9)
+	for _, a := range []trace.Addr{0, 2 * LeafCells, 1<<64 - 1} {
+		if span := m.PeekSpan(a, 3); span != nil {
+			t.Errorf("PeekSpan(%#x) of an absent leaf = %d cells, want nil", a, len(span))
+		}
+	}
+	if m.LeafChunks() != 1 {
+		t.Fatalf("PeekSpan changed LeafChunks to %d, want 1", m.LeafChunks())
+	}
+	span := m.PeekSpan(LeafCells, 2*LeafCells)
+	if len(span) != LeafCells || span[1] != 9 || span[0] != 0 {
+		t.Errorf("PeekSpan of a materialized leaf = %d cells (%v...), want %d with cell 1 = 9", len(span), span[:min(2, len(span))], LeafCells)
+	}
+	if m.LeafChunks() != 1 {
+		t.Errorf("PeekSpan changed LeafChunks to %d, want 1", m.LeafChunks())
 	}
 }
