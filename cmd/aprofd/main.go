@@ -113,6 +113,11 @@ func main() {
 		}
 	}
 
+	// Signals are taken before any server announces its address: a SIGTERM
+	// sent as soon as "listening on" is printed must drain, not kill.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+
 	reg := obs.NewRegistry()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
@@ -227,8 +232,6 @@ func main() {
 		logger.Printf("aprofd: store anti-entropy every %v", *syncEvery)
 	}
 
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigs
 	logger.Printf("aprofd: %v: draining (checkpointing in-flight sessions, %v budget; signal again to abort)", sig, *drainT)
 

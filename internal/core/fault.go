@@ -75,8 +75,9 @@ func (d *DropStats) Total() uint64 {
 		d.AfterFinish + d.InvalidKind + d.DepthOverflow + d.SampledOut
 }
 
-// IsZero reports whether nothing was dropped.
-func (d *DropStats) IsZero() bool { return d.Total() == 0 }
+// IsZero reports whether nothing was dropped. It compares the fields, not
+// Total, whose sum can wrap to zero.
+func (d *DropStats) IsZero() bool { return *d == DropStats{} }
 
 // Merge folds other into d (used when aggregating multi-run profiles).
 func (d *DropStats) Merge(other *DropStats) {

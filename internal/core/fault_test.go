@@ -303,3 +303,21 @@ func TestParseFaultPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestDropStatsIsZero: IsZero is true only when every counter is zero, also
+// when the counters' uint64 sum wraps to zero.
+func TestDropStatsIsZero(t *testing.T) {
+	if d := (DropStats{}); !d.IsZero() {
+		t.Error("zero DropStats: IsZero = false")
+	}
+	for _, d := range []DropStats{
+		{SampledOut: 1},
+		{ReturnWithoutCall: 1 << 63, UnknownRoutine: 1 << 63},
+		{BadThread: ^uint64(0), AfterFinish: 1},
+		{InvalidKind: 3, DepthOverflow: ^uint64(0) - 2},
+	} {
+		if d.IsZero() {
+			t.Errorf("%+v: IsZero = true (Total = %d)", d, d.Total())
+		}
+	}
+}

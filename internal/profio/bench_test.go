@@ -68,3 +68,29 @@ func BenchmarkProfileStreamObs(b *testing.B) {
 func BenchmarkProfileStreamV2(b *testing.B) {
 	benchProfileStream(b, benchStream(b, true), core.DefaultConfig())
 }
+
+// BenchmarkWrite encodes the 15 suite profiles at ×10 rounds, the shape of
+// an ingest-bulk session result, one document per iteration.
+func BenchmarkWrite(b *testing.B) {
+	docs := suiteProfiles(b, 10)
+	var total int64
+	for _, ps := range docs {
+		doc, err := Marshal(ps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += int64(len(doc))
+	}
+	b.ReportAllocs()
+	b.SetBytes(total / int64(len(docs)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, err := Marshal(docs[i%len(docs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDoc = doc
+	}
+}
+
+var benchDoc []byte

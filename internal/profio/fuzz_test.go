@@ -2,7 +2,7 @@ package profio
 
 import (
 	"bytes"
-	"io"
+	"reflect"
 	"testing"
 
 	"aprof/internal/core"
@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzReadProfiles fuzzes the profile-file decoder: arbitrary bytes must be
-// decoded or rejected with an error — never a panic — and any document that
-// decodes must re-encode cleanly (Read's output is always writable).
+// decoded or rejected with an error — never a panic. Any document that
+// decodes must re-encode to exactly the reflective reference encoder's
+// bytes, and decoding that encoding must give back the same profiles.
 func FuzzReadProfiles(f *testing.F) {
 	for _, seed := range []int64{1, 2} {
 		tr := trace.Random(trace.RandomConfig{Seed: seed, Ops: 150})
@@ -33,8 +34,56 @@ func FuzzReadProfiles(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := Write(io.Discard, ps); err != nil {
+		doc, err := Marshal(ps)
+		if err != nil {
 			t.Fatalf("decoded profiles failed to re-encode: %v", err)
 		}
+		var want bytes.Buffer
+		if err := referenceWrite(&want, ps); err != nil {
+			t.Fatalf("reference encoder: %v", err)
+		}
+		if !bytes.Equal(doc, want.Bytes()) {
+			t.Fatalf("Marshal differs from encoding/json at byte %d:\n got: %q\nwant: %q",
+				mismatchAt(doc, want.Bytes()), excerpt(doc, want.Bytes()), excerpt(want.Bytes(), doc))
+		}
+		back, err := Read(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatalf("re-encoded document does not decode: %v", err)
+		}
+		checkSameProfiles(t, back, ps)
 	})
+}
+
+// checkSameProfiles compares two profile sets field for field, keying
+// profiles by (routine name, thread): interned ids follow document order,
+// so they need not agree.
+func checkSameProfiles(t *testing.T, got, want *core.Profiles) {
+	t.Helper()
+	if got.Events != want.Events || got.Renumberings != want.Renumberings {
+		t.Errorf("events/renumberings = %d/%d, want %d/%d", got.Events, got.Renumberings, want.Events, want.Renumberings)
+	}
+	if got.Drops != want.Drops {
+		t.Errorf("drops = %+v, want %+v", got.Drops, want.Drops)
+	}
+	if !reflect.DeepEqual(got.Corruption, want.Corruption) {
+		t.Errorf("corruption = %+v, want %+v", got.Corruption, want.Corruption)
+	}
+	if len(got.ByKey) != len(want.ByKey) {
+		t.Fatalf("%d profiles, want %d", len(got.ByKey), len(want.ByKey))
+	}
+	for k, w := range want.ByKey {
+		name := want.Symbols.Name(k.Routine)
+		g := got.Get(name, k.Thread)
+		if g == nil {
+			t.Fatalf("profile %q thread %d missing", name, k.Thread)
+		}
+		if g.Thread != w.Thread || g.Calls != w.Calls || g.SumRMS != w.SumRMS || g.SumDRMS != w.SumDRMS ||
+			g.FirstReads != w.FirstReads || g.InducedThread != w.InducedThread ||
+			g.InducedExternal != w.InducedExternal || g.TotalCost != w.TotalCost {
+			t.Errorf("profile %q thread %d: scalar fields %+v, want %+v", name, k.Thread, g, w)
+		}
+		if !reflect.DeepEqual(g.DRMSPoints, w.DRMSPoints) || !reflect.DeepEqual(g.RMSPoints, w.RMSPoints) {
+			t.Errorf("profile %q thread %d: points differ", name, k.Thread)
+		}
+	}
 }

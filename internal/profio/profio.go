@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"aprof/internal/core"
 	"aprof/internal/trace"
@@ -58,7 +57,8 @@ type corruptionJSON struct {
 // fileJSON is the on-disk document. The drops and corruption objects are
 // omitted entirely on clean runs, so documents written before the
 // fault-tolerance layer and documents of strict runs are byte-identical to
-// the previous schema (the format number stays 1).
+// the previous schema (the format number stays 1). Read decodes it through
+// these types; Marshal and Write (encode.go) write the same members by hand.
 type fileJSON struct {
 	Format       int             `json:"format"`
 	Generator    string          `json:"generator"`
@@ -67,17 +67,6 @@ type fileJSON struct {
 	Drops        *core.DropStats `json:"drops,omitempty"`
 	Corruption   *corruptionJSON `json:"corruption,omitempty"`
 	Profiles     []profileJSON   `json:"profiles"`
-}
-
-func pointsToJSON(points map[uint64]*core.CostStats) []pointJSON {
-	out := make([]pointJSON, 0, len(points))
-	for n, st := range points {
-		out = append(out, pointJSON{
-			N: n, Count: st.Count, Max: st.Max, Min: st.Min, Sum: st.Sum, SumSq: st.SumSq,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].N < out[j].N })
-	return out
 }
 
 func pointsFromJSON(points []pointJSON) (map[uint64]*core.CostStats, error) {
@@ -91,63 +80,6 @@ func pointsFromJSON(points []pointJSON) (map[uint64]*core.CostStats, error) {
 		}
 	}
 	return out, nil
-}
-
-// Write serializes ps to w as JSON.
-func Write(w io.Writer, ps *core.Profiles) error {
-	doc := fileJSON{
-		Format:       fileFormat,
-		Generator:    "aprof-drms",
-		Events:       ps.Events,
-		Renumberings: ps.Renumberings,
-	}
-	if !ps.Drops.IsZero() {
-		drops := ps.Drops
-		doc.Drops = &drops
-	}
-	if c := ps.Corruption; c.FramesDropped != 0 || c.EventsDropped != 0 || c.BytesSkipped != 0 || c.Truncated {
-		doc.Corruption = &corruptionJSON{
-			FramesDropped: c.FramesDropped,
-			EventsDropped: c.EventsDropped,
-			BytesSkipped:  c.BytesSkipped,
-			Truncated:     c.Truncated,
-		}
-	}
-	keys := make([]core.Key, 0, len(ps.ByKey))
-	for k := range ps.ByKey {
-		keys = append(keys, k)
-	}
-	// Canonical order: by routine name, then thread. Sorting by name rather
-	// than interned id makes the serialized form independent of interning
-	// order, so profiles that are semantically equal — e.g. runs that
-	// interned the same routines in different orders — encode to identical
-	// bytes.
-	sort.Slice(keys, func(i, j int) bool {
-		ni, nj := ps.Symbols.Name(keys[i].Routine), ps.Symbols.Name(keys[j].Routine)
-		if ni != nj {
-			return ni < nj
-		}
-		return keys[i].Thread < keys[j].Thread
-	})
-	for _, k := range keys {
-		p := ps.ByKey[k]
-		doc.Profiles = append(doc.Profiles, profileJSON{
-			Routine:         ps.Symbols.Name(k.Routine),
-			Thread:          int32(k.Thread),
-			Calls:           p.Calls,
-			SumRMS:          p.SumRMS,
-			SumDRMS:         p.SumDRMS,
-			FirstReads:      p.FirstReads,
-			InducedThread:   p.InducedThread,
-			InducedExternal: p.InducedExternal,
-			TotalCost:       p.TotalCost,
-			DRMSPoints:      pointsToJSON(p.DRMSPoints),
-			RMSPoints:       pointsToJSON(p.RMSPoints),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // Read deserializes profiles written by Write.

@@ -29,30 +29,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if got.Events != ps.Events || got.Renumberings != ps.Renumberings {
-		t.Errorf("run counters changed: %d/%d vs %d/%d", got.Events, got.Renumberings, ps.Events, ps.Renumberings)
-	}
-	if len(got.ByKey) != len(ps.ByKey) {
-		t.Fatalf("profile count %d, want %d", len(got.ByKey), len(ps.ByKey))
-	}
-	for k, orig := range ps.ByKey {
-		name := ps.Symbols.Name(k.Routine)
-		restored := got.Get(name, k.Thread)
-		if restored == nil {
-			t.Fatalf("missing profile %q thread %d", name, k.Thread)
-		}
-		if restored.Calls != orig.Calls || restored.SumRMS != orig.SumRMS || restored.SumDRMS != orig.SumDRMS ||
-			restored.FirstReads != orig.FirstReads || restored.InducedThread != orig.InducedThread ||
-			restored.InducedExternal != orig.InducedExternal || restored.TotalCost != orig.TotalCost {
-			t.Errorf("%q/%d: scalar fields changed", name, k.Thread)
-		}
-		if !reflect.DeepEqual(restored.DRMSPoints, orig.DRMSPoints) {
-			t.Errorf("%q/%d: drms points changed", name, k.Thread)
-		}
-		if !reflect.DeepEqual(restored.RMSPoints, orig.RMSPoints) {
-			t.Errorf("%q/%d: rms points changed", name, k.Thread)
-		}
-	}
+	checkSameProfiles(t, got, ps)
 	// Plots derived from the restored profiles match.
 	origPlot := ps.Routine("consumer").WorstCasePlot(core.MetricDRMS)
 	gotPlot := got.Routine("consumer").WorstCasePlot(core.MetricDRMS)
@@ -119,5 +96,27 @@ func TestMetricsSurviveRoundTrip(t *testing.T) {
 	}
 	if _, ok := got.Symbols.Lookup("producer"); !ok {
 		t.Error("symbol table incomplete after round trip")
+	}
+}
+
+// TestDropsSurviveRoundTrip: drop counters whose uint64 sum wraps to zero
+// are still written, so Read → Write → Read keeps them.
+func TestDropsSurviveRoundTrip(t *testing.T) {
+	src := `{"format":1,"generator":"aprof-drms","events":0,"renumberings":0,` +
+		`"drops":{"returnWithoutCall":9223372036854775808,"unknownRoutine":9223372036854775808},"profiles":null}`
+	ps, err := Read(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Marshal(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Drops != ps.Drops {
+		t.Fatalf("drops after round trip = %+v, want %+v\n%s", back.Drops, ps.Drops, doc)
 	}
 }

@@ -38,8 +38,8 @@ func (c *CheckReport) warnf(format string, args ...any) {
 // pack. The in-memory index is not consulted — Check is what the crash
 // sweep runs against a freshly killed store.
 func (r *Repository) Check() *CheckReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockWrite() // no write in flight: Check reads the backend, not the state
+	defer r.unlockWrite()
 	report := &CheckReport{}
 
 	// Verify every pack and build an independent blob map.

@@ -94,8 +94,8 @@ func (r *Repository) GC() (GCStats, error) {
 // GC drops the rest); a kill mid-delete leaves some dead packs for the
 // next pass. At no point is a retained blob in no saved pack.
 func (r *Repository) GCWithPolicy(policy RetentionPolicy) (GCStats, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockWrite()
+	defer r.unlockWrite()
 	start := time.Now()
 	var stats GCStats
 
@@ -275,16 +275,9 @@ func (r *Repository) applyRetentionLocked(policy RetentionPolicy) error {
 		return fmt.Errorf("repo: retention trim: %w", err)
 	}
 	// The trimmed root holds the full retained set; prune the roots it
-	// supersedes. A crash mid-prune leaves extra roots, which only hold
-	// more blobs live — never fewer.
-	for name := range r.snaps {
-		if name == newName {
-			continue
-		}
-		if err := r.be.Remove(backend.Handle{Type: backend.SnapshotType, Name: name}); err != nil && !errors.Is(err, backend.ErrNotFound) {
-			return err
-		}
-		delete(r.snaps, name)
+	// supersedes.
+	if err := r.pruneRootsLocked(newName); err != nil {
+		return err
 	}
 	r.rebuildSessionView()
 	return nil

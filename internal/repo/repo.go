@@ -123,8 +123,18 @@ type Repository struct {
 	opts Options
 	m    repoMetrics
 
-	mu sync.Mutex
-	ix *index
+	// wmu serializes the operations that change the store; mu guards the
+	// state below. A writer holds wmu for its whole operation and mu while
+	// it touches state, but drops mu around its backend writes (see
+	// unlockedIO): they are fsynced, and reads, which take mu only, would
+	// otherwise queue behind them. Only wmu holders change the state
+	// (readers refill the pack cache, nothing else), so what a writer read
+	// before a write still holds after it, and a reader sees the state from
+	// before the write — staged blobs stay in pending until their pack is
+	// indexed, and the session view changes only once the root is saved.
+	wmu sync.Mutex
+	mu  sync.Mutex
+	ix  *index
 	// pending is the pack under construction: blobs staged but not yet
 	// saved. Readable through Get, persisted by flush.
 	pending      []Blob
@@ -374,25 +384,62 @@ func (r *Repository) sessionSeqsLocked() map[string]uint64 {
 // immediately, but only durable once a flush happens (Snapshot,
 // SaveProfile, Flush, and Close all flush).
 func (r *Repository) Put(data []byte) (ID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.putLocked(data)
+	d := splitDocument(data)
+	r.lockWrite()
+	defer r.unlockWrite()
+	return r.putLocked(d)
 }
 
-func (r *Repository) putLocked(data []byte) (ID, error) {
-	chunks := chunkData(data)
-	ids := make([]ID, len(chunks))
-	for i, c := range chunks {
-		ids[i] = IDOf(c)
-		r.stageLocked(BlobChunk, ids[i], c)
+// document is a profile split into content-defined chunks, hashed, with
+// its manifest: the part of a put that reads nothing but the profile, so
+// it is done before any lock is taken.
+type document struct {
+	chunks [][]byte
+	ids    []ID
+	mdata  []byte
+	mid    ID
+}
+
+func splitDocument(data []byte) document {
+	d := document{chunks: chunkData(data)}
+	d.ids = make([]ID, len(d.chunks))
+	for i, c := range d.chunks {
+		d.ids[i] = IDOf(c)
 	}
-	mdata := encodeManifest(len(data), ids)
-	mid := IDOf(mdata)
-	r.stageLocked(BlobManifest, mid, mdata)
+	d.mdata = encodeManifest(len(data), d.ids)
+	d.mid = IDOf(d.mdata)
+	return d
+}
+
+func (r *Repository) putLocked(d document) (ID, error) {
+	for i, c := range d.chunks {
+		r.stageLocked(BlobChunk, d.ids[i], c)
+	}
+	r.stageLocked(BlobManifest, d.mid, d.mdata)
 	if err := r.maybeFlushLocked(); err != nil {
 		return ID{}, err
 	}
-	return mid, nil
+	return d.mid, nil
+}
+
+// lockWrite takes both locks for an operation that changes the store.
+func (r *Repository) lockWrite() {
+	r.wmu.Lock()
+	r.mu.Lock()
+}
+
+func (r *Repository) unlockWrite() {
+	r.mu.Unlock()
+	r.wmu.Unlock()
+}
+
+// unlockedIO runs fn — a backend write and the encoding around it — with
+// mu released; the caller holds wmu and mu. fn may read state that only
+// wmu holders change (pending, for a flush) and must change none.
+func (r *Repository) unlockedIO(fn func() error) error {
+	r.mu.Unlock()
+	defer r.mu.Lock()
+	return fn()
 }
 
 // stageLocked adds one blob to the pending pack unless it is already
@@ -426,8 +473,8 @@ func (r *Repository) maybeFlushLocked() error {
 
 // Flush persists the pending pack (a no-op when nothing is staged).
 func (r *Repository) Flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockWrite()
+	defer r.unlockWrite()
 	return r.flushLocked()
 }
 
@@ -458,13 +505,19 @@ func (r *Repository) savePackOverwriteLocked(blobs []Blob) (string, error) {
 }
 
 func (r *Repository) savePack(blobs []Blob, overwrite bool) (string, error) {
-	data := EncodePack(blobs)
-	name := IDOf(data).String()
-	if err := r.be.Save(backend.Handle{Type: backend.PackType, Name: name}, data); err != nil {
-		return "", err
-	}
-	entries, err := decodePackHeader(data)
-	if err != nil { // cannot happen: we just encoded it
+	var name string
+	var entries []packEntry
+	err := r.unlockedIO(func() error {
+		data := EncodePack(blobs)
+		name = IDOf(data).String()
+		if err := r.be.Save(backend.Handle{Type: backend.PackType, Name: name}, data); err != nil {
+			return err
+		}
+		var err error
+		entries, err = decodePackHeader(data) // cannot fail: we just encoded it
+		return err
+	})
+	if err != nil {
 		return "", err
 	}
 	r.ix.addPack(name, entries, overwrite)
@@ -562,8 +615,8 @@ type SnapshotInfo struct {
 // flushes pending blobs, verifies every referenced manifest is stored,
 // and saves a new snapshot document. It returns the snapshot's name.
 func (r *Repository) Snapshot(sessions map[string]ID) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockWrite()
+	defer r.unlockWrite()
 	return r.snapshotLocked(sessions, nil, nil)
 }
 
@@ -588,9 +641,13 @@ func (r *Repository) snapshotLocked(sessions map[string]ID, savedAt map[string]i
 		}
 	}
 	seq := r.maxSeq + 1
-	data := encodeSnapshot(seq, sessions, savedAt, history)
-	name := IDOf(data).String()
-	if err := r.be.Save(backend.Handle{Type: backend.SnapshotType, Name: name}, data); err != nil {
+	var name string
+	err := r.unlockedIO(func() error {
+		data := encodeSnapshot(seq, sessions, savedAt, history)
+		name = IDOf(data).String()
+		return r.be.Save(backend.Handle{Type: backend.SnapshotType, Name: name}, data)
+	})
+	if err != nil {
 		return "", err
 	}
 	r.maxSeq = seq
@@ -609,8 +666,8 @@ func (r *Repository) snapshotLocked(sessions map[string]ID, savedAt map[string]i
 // Forget removes a snapshot root. The blobs it referenced stay stored
 // until a GC finds them unreferenced.
 func (r *Repository) Forget(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockWrite()
+	defer r.unlockWrite()
 	if _, ok := r.snaps[name]; !ok {
 		return fmt.Errorf("%w: snapshot %s", ErrProfileNotFound, name)
 	}
@@ -637,9 +694,10 @@ func (r *Repository) SaveProfile(sessionID string, profile []byte) error {
 	if sessionID == "" {
 		return errors.New("repo: empty session id")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	mid, err := r.putLocked(profile)
+	d := splitDocument(profile)
+	r.lockWrite()
+	defer r.unlockWrite()
+	mid, err := r.putLocked(d)
 	if err != nil {
 		return err
 	}
@@ -664,19 +722,32 @@ func (r *Repository) SaveProfile(sessionID string, profile []byte) error {
 		return err
 	}
 	// The new snapshot holds the full head set, so every other root is
-	// redundant. Prune them; a crash mid-prune leaves extra roots, which
-	// only hold more blobs live — never fewer.
+	// redundant.
+	if err := r.pruneRootsLocked(newName); err != nil {
+		return err
+	}
+	r.rebuildSessionView()
+	r.updateGauges()
+	return nil
+}
+
+// pruneRootsLocked removes every root but keep, which holds the full head
+// set and so supersedes them. A crash mid-prune leaves extra roots, which
+// only hold more blobs live — never fewer. The caller rebuilds the
+// session view.
+func (r *Repository) pruneRootsLocked(keep string) error {
 	for name := range r.snaps {
-		if name == newName {
+		if name == keep {
 			continue
 		}
-		if err := r.be.Remove(backend.Handle{Type: backend.SnapshotType, Name: name}); err != nil && !errors.Is(err, backend.ErrNotFound) {
+		err := r.unlockedIO(func() error {
+			return r.be.Remove(backend.Handle{Type: backend.SnapshotType, Name: name})
+		})
+		if err != nil && !errors.Is(err, backend.ErrNotFound) {
 			return err
 		}
 		delete(r.snaps, name)
 	}
-	r.rebuildSessionView()
-	r.updateGauges()
 	return nil
 }
 
@@ -733,8 +804,8 @@ func (r *Repository) DamagedPacks() []string {
 // Close flushes pending blobs and writes the index cache. The repository
 // stays usable (Close is idempotent); callers that only read may skip it.
 func (r *Repository) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockWrite()
+	defer r.unlockWrite()
 	if err := r.flushLocked(); err != nil {
 		return err
 	}

@@ -2,12 +2,15 @@ package repo
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aprof/internal/obs"
 	"aprof/internal/repo/backend"
@@ -133,6 +136,98 @@ func TestSaveProfilePersistsAcrossReopen(t *testing.T) {
 	// SaveProfile prunes superseded roots: one snapshot should remain.
 	if snaps := r2.Snapshots(); len(snaps) != 1 {
 		t.Fatalf("expected 1 snapshot after %d saves, got %d", len(want), len(snaps))
+	}
+}
+
+// gatedBackend holds each pack and snapshot Save, once gated, until the
+// test lets it through: it reports the handle on entered and waits for a
+// token on release.
+type gatedBackend struct {
+	backend.Backend
+	gated   atomic.Bool
+	entered chan backend.Handle
+	release chan struct{}
+}
+
+func (g *gatedBackend) Save(h backend.Handle, data []byte) error {
+	if g.gated.Load() && (h.Type == backend.PackType || h.Type == backend.SnapshotType) {
+		g.entered <- h
+		<-g.release
+	}
+	return g.Backend.Save(h, data)
+}
+
+// TestReadsDoNotWaitForSaveWrites holds SaveProfile inside its pack write
+// and then inside its snapshot write, and reads meanwhile: the reads must
+// complete, and must see the store as it was before the save.
+func TestReadsDoNotWaitForSaveWrites(t *testing.T) {
+	local, err := backend.OpenLocal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Init(local); err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedBackend{Backend: local, entered: make(chan backend.Handle), release: make(chan struct{})}
+	r, err := Open(g, Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := syntheticProfile(1, 16<<10), syntheticProfile(2, 16<<10)
+	if err := r.SaveProfile("a", a); err != nil {
+		t.Fatal(err)
+	}
+
+	g.gated.Store(true)
+	saved := make(chan error, 1)
+	go func() { saved <- r.SaveProfile("b", b) }()
+	// read runs fn and fails the test if it has not returned in 10 s.
+	read := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { fn(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited for the save's backend write", what)
+		}
+	}
+	checkBefore := func(stage string) {
+		t.Helper()
+		read("GetSession during the "+stage+" write", func() {
+			got, err := r.GetSession("a")
+			if err != nil || !bytes.Equal(got, a) {
+				t.Errorf("%s write: GetSession(a) = %d bytes, %v; want the saved profile", stage, len(got), err)
+			}
+			if _, err := r.GetSession("b"); !errors.Is(err, ErrProfileNotFound) {
+				t.Errorf("%s write: GetSession(b) = %v before its root is saved, want ErrProfileNotFound", stage, err)
+			}
+		})
+	}
+	for _, want := range []backend.Type{backend.PackType, backend.SnapshotType} {
+		if h := <-g.entered; h.Type != want {
+			t.Fatalf("save wrote %s, want %s", h.Type, want)
+		}
+		checkBefore(string(want))
+		if want == backend.PackType {
+			// The staged blobs stay readable until their pack is indexed.
+			read("Get of a staged manifest", func() {
+				if got, err := r.Get(splitDocument(b).mid); err != nil || !bytes.Equal(got, b) {
+					t.Errorf("staged manifest: Get = %d bytes, %v; want the profile being saved", len(got), err)
+				}
+			})
+		}
+		g.release <- struct{}{}
+	}
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	g.gated.Store(false)
+	if got, err := r.GetSession("b"); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("after the save: GetSession(b) = %d bytes, %v", len(got), err)
+	}
+	if rep := r.Check(); !rep.OK() {
+		t.Fatalf("check after a save with concurrent reads: %+v", rep)
 	}
 }
 

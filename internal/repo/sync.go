@@ -1,7 +1,6 @@
 package repo
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -66,9 +65,9 @@ func (r *Repository) Sync(remote backend.Backend) (SyncStats, error) {
 	// Phase A (locked, brief): flush staged blobs and snapshot the local
 	// have-sets. Concurrent saves during the network phases are safe: a
 	// blob that arrives twice dedups at integration time.
-	r.mu.Lock()
+	r.lockWrite()
 	if err := r.flushLocked(); err != nil {
-		r.mu.Unlock()
+		r.unlockWrite()
 		return stats, err
 	}
 	havePacks := make(map[string]struct{})
@@ -79,7 +78,7 @@ func (r *Repository) Sync(remote backend.Backend) (SyncStats, error) {
 	for id := range r.ix.blobs {
 		haveBlob[id] = struct{}{}
 	}
-	r.mu.Unlock()
+	r.unlockWrite()
 
 	// Phase B (unlocked): diff pack sets and pull what is missing.
 	if err := r.syncPacks(remote, havePacks, haveBlob, &stats); err != nil {
@@ -94,8 +93,8 @@ func (r *Repository) Sync(remote backend.Backend) (SyncStats, error) {
 
 	// Phase D (locked): merge the remote view into ours and, if anything
 	// changed, write one new root holding the merged set.
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lockWrite()
+	defer r.unlockWrite()
 	return stats, r.syncMergeLocked(docs, &stats)
 }
 
@@ -143,17 +142,20 @@ func (r *Repository) syncPacks(remote backend.Backend, havePacks map[string]stru
 			r.logf("repo: sync: pack %s undecodable: %v", short(name), derr)
 			continue
 		}
-		r.mu.Lock()
+		r.lockWrite()
 		// Saving is idempotent — content addressing means a concurrent local
 		// write of the same name wrote the same bytes.
-		if err := r.be.Save(backend.Handle{Type: backend.PackType, Name: name}, data); err != nil {
-			r.mu.Unlock()
+		err = r.unlockedIO(func() error {
+			return r.be.Save(backend.Handle{Type: backend.PackType, Name: name}, data)
+		})
+		if err != nil {
+			r.unlockWrite()
 			return fmt.Errorf("repo: sync: storing pack %s: %w", short(name), err)
 		}
 		r.ix.addPack(name, entries, false)
 		r.m.packsWritten.Inc()
 		r.updateGauges()
-		r.mu.Unlock()
+		r.unlockWrite()
 		stats.PacksPulled++
 		stats.BytesPulled += int64(len(data))
 	}
@@ -303,13 +305,8 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 		return fmt.Errorf("repo: sync: writing merged root: %w", err)
 	}
 	stats.RootWritten = true
-	for name := range r.snaps {
-		if name == newName {
-			continue
-		}
-		if err := r.forgetRootLocked(name); err != nil {
-			return err
-		}
+	if err := r.pruneRootsLocked(newName); err != nil {
+		return err
 	}
 	r.rebuildSessionView()
 	r.updateGauges()
@@ -372,15 +369,6 @@ func (r *Repository) syncResolvableLocked(mid ID) bool {
 		}
 	}
 	return true
-}
-
-// forgetRootLocked removes one superseded root document.
-func (r *Repository) forgetRootLocked(name string) error {
-	if err := r.be.Remove(backend.Handle{Type: backend.SnapshotType, Name: name}); err != nil && !errors.Is(err, backend.ErrNotFound) {
-		return err
-	}
-	delete(r.snaps, name)
-	return nil
 }
 
 func sessionsEqual(a, b map[string]ID) bool {

@@ -209,12 +209,15 @@ func TestGracefulDrainHandsOver(t *testing.T) {
 // TestOverloadShedsWithoutDeadlock: more concurrent clients than session
 // slots. Shed clients back off and retry; every upload must eventually
 // complete (bounded by the test timeout — a deadlock fails loudly) and
-// match the offline pipeline.
+// match the offline pipeline, and the result stage's histograms must count
+// one encode and one repository save per completed session.
 func TestOverloadShedsWithoutDeadlock(t *testing.T) {
 	enc := testTrace(t, 23, 800)
 	want := offlineProfile(t, enc)
 	reg := obs.NewRegistry()
-	s := startServer(t, server.Options{MaxSessions: 2, Obs: reg})
+	store := openStore(t, t.TempDir())
+	t.Cleanup(func() { store.Close() }) // after the server's own cleanup
+	s := startServer(t, server.Options{MaxSessions: 2, Obs: reg, Store: store})
 
 	const clients = 6
 	errs := make(chan error, clients)
@@ -244,8 +247,16 @@ func TestOverloadShedsWithoutDeadlock(t *testing.T) {
 			t.Fatalf("client load-%d profile differs from offline pipeline", i)
 		}
 	}
-	if reg.Scope(server.ObsScopeServer).Counter("sessions_completed").Load() != clients {
+	sc := reg.Scope(server.ObsScopeServer)
+	if sc.Counter("sessions_completed").Load() != clients {
 		t.Error("completed-session count does not match the client count")
+	}
+	// The result stage is timed once per completed session: the profile
+	// encode and the repository save.
+	for _, h := range []string{"result_encode_us", "result_save_us"} {
+		if n := sc.Histogram(h).Count(); n != clients {
+			t.Errorf("%s observed %d times, want %d", h, n, clients)
+		}
 	}
 }
 

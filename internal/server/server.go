@@ -140,6 +140,8 @@ type serverMetrics struct {
 	replicaFailed   *obs.Counter
 	replicaAdopted  *obs.Counter
 	active          *obs.Gauge
+	resultEncode    *obs.Histogram
+	resultSave      *obs.Histogram
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -163,6 +165,8 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		replicaFailed:   s.Counter("replica_pushes_failed"),
 		replicaAdopted:  s.Counter("replica_checkpoints_adopted"),
 		active:          s.Gauge("active_sessions"),
+		resultEncode:    s.Histogram("result_encode_us"),
+		resultSave:      s.Histogram("result_save_us"),
 	}
 }
 
@@ -674,11 +678,13 @@ func (s *Server) releaseSlot(id string) {
 
 // storeResult serializes and retains a completed session's profile.
 func (s *Server) storeResult(id string, ps *core.Profiles, delivered uint64, resumed bool) error {
-	var buf strings.Builder
-	if err := profio.Write(&buf, ps); err != nil {
+	start := time.Now()
+	doc, err := profio.Marshal(ps)
+	if err != nil {
 		return err
 	}
-	res := &SessionResult{ID: id, Delivered: delivered, Resumed: resumed, Profile: []byte(buf.String())}
+	s.m.resultEncode.Observe(uint64(time.Since(start).Microseconds()))
+	res := &SessionResult{ID: id, Delivered: delivered, Resumed: resumed, Profile: doc}
 	s.mu.Lock()
 	s.results[id] = res
 	s.mu.Unlock()
@@ -689,9 +695,11 @@ func (s *Server) storeResult(id string, ps *core.Profiles, delivered uint64, res
 		}
 	}
 	if s.opts.Store != nil {
+		start := time.Now()
 		if err := s.opts.Store.SaveProfile(id, res.Profile); err != nil {
 			return err
 		}
+		s.m.resultSave.Observe(uint64(time.Since(start).Microseconds()))
 	}
 	return nil
 }
