@@ -92,6 +92,32 @@ func BenchmarkProfilerRMS(b *testing.B) {
 	b.ReportMetric(float64(tr.Len()), "events/op")
 }
 
+// BenchmarkProfilerSuite measures the drms profiler over the 15 suite
+// benchmarks at ten times their default rounds — the session traces
+// perfbench's ingest-bulk workload uploads, ~65 cells per read — so the
+// analysis cost behind that workload can be reproduced outside perfbench.
+// One op profiles all 15 traces; ns/event is the per-event cost.
+func BenchmarkProfilerSuite(b *testing.B) {
+	var traces []*trace.Trace
+	events := 0
+	for _, bench := range workloads.FullSuite() {
+		tr := bench.Scaled(10).Build()
+		traces = append(traces, tr)
+		events += tr.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			if _, err := core.Run(tr, core.DefaultConfig()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+	b.ReportMetric(float64(events), "events/op")
+}
+
 // BenchmarkProfilerNaive measures the set-based oracle, demonstrating why
 // the timestamping algorithm exists.
 func BenchmarkProfilerNaive(b *testing.B) {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	minivm [-quantum N] [-max-steps N] [-trace FILE] [-trace-format binary|text] [-suppress] [-stats|-fmt|-disasm] program.ml
+//	minivm [-quantum N] [-max-steps N] [-trace FILE] [-trace-format binary2|binary|text] [-suppress] [-stats|-fmt|-disasm] program.ml
 //	minivm vet program.ml...
 //	minivm effects program.ml...
 //
@@ -20,6 +20,9 @@
 // memory accesses with symbolic addresses, marking accesses the redundancy
 // suppressor elides and blocks that bail out of aggregation. Diagnostics
 // go to stderr; the report is informational, so only hard errors fail.
+//
+// -trace writes checksummed APT2 (binary2) by default; binary selects the
+// legacy unframed APT1 encoding and text the line-oriented one.
 //
 // -suppress runs the program with instrumentation redundancy suppression:
 // per-block aggregated trace emission with provably redundant accesses
@@ -48,7 +51,7 @@ func main() {
 		quantum  = flag.Int("quantum", 0, "basic blocks per scheduling slice (0 = default)")
 		maxSteps = flag.Uint64("max-steps", 0, "instruction limit (0 = default)")
 		traceOut = flag.String("trace", "", "write the execution trace to this file")
-		traceFmt = flag.String("trace-format", "binary", "trace format: binary or text")
+		traceFmt = flag.String("trace-format", defaultTraceFormat, "trace format: binary2 (checksummed APT2), binary (APT1) or text")
 		stats    = flag.Bool("stats", false, "print execution statistics")
 		optimize = flag.Bool("optimize", false, "run the bytecode optimizer before execution")
 		format   = flag.Bool("fmt", false, "format the program to stdout instead of running it")
@@ -110,24 +113,15 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		switch *traceFmt {
-		case "binary":
-			err = trace.WriteBinary(f, res.Trace)
-		case "text":
-			err = trace.WriteText(f, res.Trace)
-		default:
-			err = fmt.Errorf("unknown trace format %q", *traceFmt)
-		}
-		if err != nil {
+		if err := trace.WriteFile(*traceOut, *traceFmt, res.Trace); err != nil {
 			fatal(err)
 		}
 	}
 }
+
+// defaultTraceFormat is -trace-format's default: the framed, checksummed
+// encoding the daemon and the committed fixtures use.
+const defaultTraceFormat = "binary2"
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "minivm:", err)

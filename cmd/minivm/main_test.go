@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aprof/internal/trace"
+	"aprof/internal/vm"
 )
 
 func writeProgram(t *testing.T, name, src string) string {
@@ -144,5 +148,33 @@ func TestEffectsNoArgs(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := effects(nil, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d for no arguments, want 2", code)
+	}
+}
+
+// TestTraceDefaultFormatIsAPT2 pins -trace-format's default to the
+// checksummed APT2 encoding.
+func TestTraceDefaultFormatIsAPT2(t *testing.T) {
+	res, err := vm.RunSource(`
+fn main() {
+	var s = 0;
+	for (var i = 0; i < 5; i = i + 1) {
+		s = s + i;
+	}
+	print(s);
+}
+`, vm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "out.tr")
+	if err := trace.WriteFile(path, defaultTraceFormat, res.Trace); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("APT2")) {
+		t.Fatalf("default trace starts %.4q, want the APT2 magic", data)
 	}
 }

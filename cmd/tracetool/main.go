@@ -10,11 +10,11 @@
 //	tracetool validate trace.bin              # structural checks
 //
 // Formats are detected from the file contents (binary traces start with the
-// "APT1" magic).
+// "APT2" or the legacy "APT1" magic). Commands that write a trace write
+// checksummed APT2 (binary2) unless told otherwise.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -67,7 +67,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   tracetool stats FILE
   tracetool cat FILE
-  tracetool convert [-to binary|binary2|text] IN OUT
+  tracetool convert [-to binary2|binary|text] IN OUT
   tracetool reinterleave [-seed N] [-window N] [-sync] IN OUT
   tracetool slice [-threads 1,2] [-routine NAME] [-from T] [-to T] IN OUT
   tracetool validate FILE`)
@@ -83,29 +83,6 @@ func readTrace(path string) (*trace.Trace, error) {
 		return trace.ReadBinary(bytes.NewReader(data))
 	}
 	return trace.ReadText(bytes.NewReader(data))
-}
-
-func writeTrace(path, format string, tr *trace.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	switch format {
-	case "binary":
-		err = trace.WriteBinary(w, tr)
-	case "binary2":
-		err = trace.WriteBinary2(w, tr)
-	case "text":
-		err = trace.WriteText(w, tr)
-	default:
-		return fmt.Errorf("unknown format %q (want binary, binary2, or text)", format)
-	}
-	if err != nil {
-		return err
-	}
-	return w.Flush()
 }
 
 func cmdStats(args []string, w io.Writer) error {
@@ -189,7 +166,7 @@ func cmdCat(args []string, w io.Writer) error {
 
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	to := fs.String("to", "binary", "output format: binary, binary2 (checksummed APT2), or text")
+	to := fs.String("to", "binary2", "output format: binary2 (checksummed APT2), binary (APT1), or text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -200,7 +177,7 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	return writeTrace(fs.Arg(1), *to, tr)
+	return trace.WriteFile(fs.Arg(1), *to, tr)
 }
 
 func cmdReinterleave(args []string) error {
@@ -208,7 +185,7 @@ func cmdReinterleave(args []string) error {
 	seed := fs.Int64("seed", 1, "perturbation seed")
 	window := fs.Int("window", 8, "perturbation window (events)")
 	sync := fs.Bool("sync", true, "respect semaphore synchronization")
-	format := fs.String("to", "binary", "output format: binary, binary2 (checksummed APT2), or text")
+	format := fs.String("to", "binary2", "output format: binary2 (checksummed APT2), binary (APT1), or text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -225,7 +202,7 @@ func cmdReinterleave(args []string) error {
 	} else {
 		out = trace.ReinterleaveWindow(tr, *seed, *window)
 	}
-	return writeTrace(fs.Arg(1), *format, out)
+	return trace.WriteFile(fs.Arg(1), *format, out)
 }
 
 func cmdSlice(args []string) error {
@@ -234,7 +211,7 @@ func cmdSlice(args []string) error {
 	routine := fs.String("routine", "", "keep only activations of this routine")
 	from := fs.Uint64("from", 0, "window start time")
 	to := fs.Uint64("to", math.MaxUint64, "window end time")
-	format := fs.String("to-format", "binary", "output format: binary, binary2 (checksummed APT2), or text")
+	format := fs.String("to-format", "binary2", "output format: binary2 (checksummed APT2), binary (APT1), or text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -262,7 +239,7 @@ func cmdSlice(args []string) error {
 	if *routine != "" {
 		tr = trace.FilterRoutine(tr, tr.Symbols, *routine)
 	}
-	return writeTrace(fs.Arg(1), *format, tr)
+	return trace.WriteFile(fs.Arg(1), *format, tr)
 }
 
 func cmdValidate(args []string, w io.Writer) error {

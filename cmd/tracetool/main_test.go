@@ -126,17 +126,8 @@ func TestValidateAndReinterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(tr *trace.Trace) int {
-		n := 0
-		for _, ev := range tr.Events {
-			if ev.Kind != trace.KindSwitchThread {
-				n++
-			}
-		}
-		return n
-	}
-	if count(orig) != count(re) {
-		t.Errorf("reinterleave changed event count: %d vs %d", count(orig), count(re))
+	if nonSwitch(orig) != nonSwitch(re) {
+		t.Errorf("reinterleave changed event count: %d vs %d", nonSwitch(orig), nonSwitch(re))
 	}
 }
 
@@ -214,4 +205,54 @@ func TestSlice(t *testing.T) {
 	if err := cmdSlice([]string{"-threads", "x", path, out}); err == nil {
 		t.Error("bad thread id accepted")
 	}
+}
+
+// TestWritersDefaultToAPT2 pins the default output format of every command
+// that writes a trace to checksummed APT2, and checks the copy reads back
+// with the same events apart from thread switches (reinterleave moves
+// those).
+func TestWritersDefaultToAPT2(t *testing.T) {
+	dir := t.TempDir()
+	path := writeSample(t, dir)
+	in, err := readTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(out string) error
+	}{
+		{"convert", func(out string) error { return cmdConvert([]string{path, out}) }},
+		{"reinterleave", func(out string) error { return cmdReinterleave([]string{"-window", "1", path, out}) }},
+		{"slice", func(out string) error { return cmdSlice([]string{path, out}) }},
+	} {
+		out := filepath.Join(dir, tc.name+".out")
+		if err := tc.run(out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte("APT2")) {
+			t.Fatalf("%s: output starts %.4q, want the APT2 magic", tc.name, data)
+		}
+		got, err := readTrace(out)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if g, w := nonSwitch(got), nonSwitch(in); g != w {
+			t.Fatalf("%s: %d events besides thread switches, want %d", tc.name, g, w)
+		}
+	}
+}
+
+func nonSwitch(tr *trace.Trace) int {
+	n := 0
+	for _, ev := range tr.Events {
+		if ev.Kind != trace.KindSwitchThread {
+			n++
+		}
+	}
+	return n
 }

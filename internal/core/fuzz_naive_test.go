@@ -104,9 +104,10 @@ func leafSpanTrace() *trace.Trace {
 // naiveFuzzSeeds returns encoded traces that exercise the interesting
 // machinery: cross-thread induced reads, same-counter write pairs, deep
 // stacks, kernel I/O, synchronized hand-offs, leaf-chunk boundaries,
-// multi-chunk and wrapping spans, and
-// the v2 framing (small frames force resyncs on mutation). The first four
-// traces also back the committed corpus under testdata/fuzz/FuzzProfileNaive.
+// multi-chunk and wrapping spans, long read spans whose runs of equal
+// shadow pairs are split mid-span, and the v2 framing (small frames force
+// resyncs on mutation). The first four traces and the long-span ones also
+// back the committed corpus under testdata/fuzz/FuzzProfileNaive.
 func naiveFuzzSeeds(tb testing.TB) [][]byte {
 	encode := func(tr *trace.Trace, v2 bool) []byte {
 		var buf bytes.Buffer
@@ -132,6 +133,8 @@ func naiveFuzzSeeds(tb testing.TB) [][]byte {
 		randomTrace(rand.New(rand.NewSource(5)), 150),
 		trace.Random(trace.RandomConfig{Seed: 12, Threads: 6, Ops: 200, Cells: 4}),
 		leafSpanTrace(),
+		longSpanTrace(rand.New(rand.NewSource(101)), 120),
+		longSpanTrace(rand.New(rand.NewSource(102)), 120),
 	} {
 		seeds = append(seeds, encode(tr, false), encode(tr, true))
 	}

@@ -524,10 +524,15 @@ func (p *Profiler) popFrame(t *threadState, retCost uint64) {
 	t.stack = t.stack[:top]
 }
 
-// readRange applies onRead to the size cells from addr, in ascending
-// address order (wrapping past the top of the address space to 0, as
-// trace.Event.Cells does), one leaf-aligned span at a time: each span
-// resolves the thread's ts leaf and the write-shadow leaf once.
+// readRange implements the read(ℓ,t) handler of Fig. 8 for the size cells
+// from addr, in ascending address order (wrapping past the top of the
+// address space to 0, as trace.Event.Cells does), one leaf-aligned span at
+// a time: each span resolves the thread's ts leaf and the write-shadow leaf
+// once. Within one read event the stack and the counter are fixed, so a
+// cell's verdict depends only on its pair (ts_t[ℓ], w[ℓ]): each maximal run
+// of cells with equal pairs is classified once, by onReadRun, and the
+// span's ts slots are then stamped with the counter. The cells of a span
+// are distinct, so no stamp is seen by a later cell of the same event.
 func (p *Profiler) readRange(t *threadState, addr trace.Addr, size uint32) {
 	for n := uint64(size); n > 0; {
 		ts := t.ts.Span(addr, n)
@@ -538,62 +543,70 @@ func (p *Profiler) readRange(t *threadState, addr trace.Addr, size uint32) {
 		if w == nil {
 			w = noWrites[:len(ts)]
 		}
-		for i := range ts {
-			p.onRead(t, &ts[i], w[i])
+		if len(t.stack) > 0 {
+			w = w[:len(ts)] // drops the bounds checks on w[j] below
+			for i := 0; i < len(ts); {
+				old, wi := ts[i], w[i]
+				j := i + 1
+				for j < len(ts) && ts[j] == old && w[j] == wi {
+					j++
+				}
+				p.onReadRun(t, old, wi, int64(j-i))
+				i = j
+			}
 		}
+		fill(ts, p.count)
 		addr += trace.Addr(len(ts))
 		n -= uint64(len(ts))
 	}
 }
 
-// onRead implements the read(ℓ,t) handler of Fig. 8, extended to classify
-// the source of induced first-reads and to maintain the rms in parallel.
-// slot is ts_t[ℓ] and w the write-shadow cell w[ℓ] (0 when ℓ was never
-// written or no write shadow is kept).
-func (p *Profiler) onRead(t *threadState, slot *uint64, w uint64) {
-	old := *slot
-	*slot = p.count
-
-	if len(t.stack) == 0 {
-		return
-	}
+// onReadRun classifies k read cells of the topmost activation of t that
+// share the latest-access timestamp old = ts_t[ℓ] and the write-shadow cell
+// w = w[ℓ] (0 when ℓ was never written or no write shadow is kept). It is
+// the read(ℓ,t) handler of Fig. 8, extended to classify the source of
+// induced first-reads and to maintain the rms in parallel, applied to k
+// cells at once: every cell of the run gets the same verdict and the same
+// deepest ancestor, so each counter moves by k instead of by 1.
+func (p *Profiler) onReadRun(t *threadState, old, w uint64, k int64) {
 	top := &t.stack[len(t.stack)-1]
-	firstAccess := old < top.ts
-
 	induced := false
 	if old < w>>1 {
-		// The location was written, by some thread different from t or by
+		// The cells were written, by some thread different from t or by
 		// the kernel, since t's latest access (a write by t itself would
 		// have set ts_t[ℓ] = wts[ℓ]).
 		if w&kernelBit == 0 {
 			if p.cfg.ThreadInput {
 				induced = true
-				top.indThread++
+				top.indThread += k
 			}
 		} else if p.cfg.ExternalInput {
 			induced = true
-			top.indExternal++
+			top.indExternal += k
 		}
 	}
-	if !induced && firstAccess {
-		// First read for the topmost activation; charge it and discharge
-		// the deepest ancestor that had already accessed ℓ (Fig. 8, lines
-		// 4-10).
-		top.first++
-		if old != 0 {
-			if i, ok := deepestAncestor(t.stack, old); ok {
-				t.stack[i].first--
-			}
+	if old >= top.ts {
+		return
+	}
+	// A first access for the topmost activation: charge it, and discharge
+	// the deepest ancestor that had already accessed the cells (Fig. 8,
+	// lines 4-10) — for the drms only when the read is not induced, for
+	// the rms (aprof [5]) always.
+	var anc *frame
+	if old != 0 {
+		if i, ok := deepestAncestor(t.stack, old); ok {
+			anc = &t.stack[i]
 		}
 	}
-	if firstAccess {
-		// rms bookkeeping (aprof [5]): a first access that is a read.
-		top.rms++
-		if old != 0 {
-			if i, ok := deepestAncestor(t.stack, old); ok {
-				t.stack[i].rms--
-			}
+	if !induced {
+		top.first += k
+		if anc != nil {
+			anc.first -= k
 		}
+	}
+	top.rms += k
+	if anc != nil {
+		anc.rms -= k
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -382,6 +383,33 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		}
 		tr.Events = append(tr.Events, ev)
 	}
+}
+
+// WriteFile saves tr to path in the named format: "binary2" (the
+// checksummed, framed APT2), "binary" (legacy APT1) or "text". The error
+// from closing the file is returned too, so a write that fails only at
+// close is not reported as a success.
+func WriteFile(path, format string, tr *Trace) error {
+	var write func(io.Writer, *Trace) error
+	switch format {
+	case "binary2":
+		write = WriteBinary2
+	case "binary":
+		write = WriteBinary
+	case "text":
+		write = WriteText
+	default:
+		return fmt.Errorf("unknown trace format %q (want binary2, binary, or text)", format)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f, tr); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteText encodes tr in a line-oriented human-readable format: a header

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,5 +185,46 @@ func TestEventStringParseQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWriteFile checks that each named format writes its magic and reads
+// back to the same events, and that an unknown name creates no file.
+func TestWriteFile(t *testing.T) {
+	tr := sampleTrace()
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		format, magic string
+		read          func(io.Reader) (*Trace, error)
+	}{
+		{"binary2", "APT2", ReadBinary},
+		{"binary", "APT1", ReadBinary},
+		{"text", "routine 0 ", ReadText},
+	} {
+		path := filepath.Join(dir, tc.format)
+		if err := WriteFile(path, tc.format, tr); err != nil {
+			t.Fatalf("%s: %v", tc.format, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(tc.magic)) {
+			t.Fatalf("%s: file starts %.8q, want %q", tc.format, data, tc.magic)
+		}
+		back, err := tc.read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.format, err)
+		}
+		if !reflect.DeepEqual(back.Events, tr.Events) {
+			t.Fatalf("%s: file does not read back to the trace's events", tc.format)
+		}
+	}
+	path := filepath.Join(dir, "apt3")
+	if err := WriteFile(path, "apt3", tr); err == nil {
+		t.Fatal("unknown format accepted")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("unknown format left a file behind: %v", err)
 	}
 }
