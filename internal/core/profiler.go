@@ -196,9 +196,9 @@ type Profiler struct {
 	depthHWM int
 	// obs holds the pre-resolved metric handles, nil when Config.Obs is nil.
 	obs *profilerObs
-	// ckptBuf is WriteCheckpoint's encoding buffer, kept across calls so a
-	// steady checkpoint cadence stops allocating for the document itself.
-	ckptBuf []byte
+	// ckpt is the checkpoint encoder's buffer and sort scratch, kept across
+	// calls so a steady checkpoint cadence stops allocating.
+	ckpt ckptScratch
 }
 
 // NewProfiler returns a profiler for traces built against syms.

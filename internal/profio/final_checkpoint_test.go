@@ -49,12 +49,11 @@ func TestFinalCheckpointOnAbort(t *testing.T) {
 	}
 
 	// The final checkpoint must reflect exactly the last profiled batch.
-	f, err := os.Open(ckpt)
+	_, doc, err := ReadCheckpointLog(ckpt)
 	if err != nil {
 		t.Fatalf("final checkpoint not written: %v", err)
 	}
-	state, err := core.ReadCheckpointState(f, cfg)
-	f.Close()
+	state, err := core.ReadCheckpointState(bytes.NewReader(doc), cfg)
 	if err != nil {
 		t.Fatalf("reading final checkpoint state: %v", err)
 	}

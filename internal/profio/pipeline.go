@@ -28,12 +28,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"aprof/internal/core"
 	"aprof/internal/obs"
-	"aprof/internal/repo/backend"
 	"aprof/internal/trace"
 )
 
@@ -59,11 +57,19 @@ type StreamOptions struct {
 	// aborting the run.
 	Lenient bool
 	// CheckpointPath, when non-empty, makes the run durable: the complete
-	// profiler state is written there (atomically, via rename) every
+	// profiler state is appended to the CheckpointLog there every
 	// CheckpointEvery batches.
 	CheckpointPath string
+	// CheckpointSink, when non-nil, takes the place of CheckpointPath's log:
+	// it receives every checkpoint the run takes, as the encoded APCK
+	// document and the stream position it captures. doc stays valid until
+	// the run takes its next checkpoint, so a sink may hold it past its own
+	// return (aprofd writes and replicates it from the batch hook). An error
+	// aborts the run like a failed checkpoint write.
+	CheckpointSink func(doc []byte, state core.StreamState) error
 	// CheckpointEvery is the checkpoint cadence in batches (default
-	// DefaultCheckpointEvery). Only meaningful with CheckpointPath.
+	// DefaultCheckpointEvery). Only meaningful with a checkpoint
+	// destination.
 	CheckpointEvery int
 	// OnBatch, when non-nil, is called after each batch is profiled (and
 	// after any checkpoint for it was written), with the 1-based batch
@@ -71,10 +77,10 @@ type StreamOptions struct {
 	// error aborts the run with that error — the crash-injection hook of
 	// the resume tests.
 	OnBatch func(batch int, delivered uint64) error
-	// FinalCheckpoint, with CheckpointPath set, writes one last checkpoint
-	// when the run is interrupted — context cancellation, a decoder failure
-	// (for a network source: the connection died), or an OnBatch abort —
-	// capturing the last fully profiled batch. The profiler consumes events
+	// FinalCheckpoint, with a checkpoint destination, takes one last
+	// checkpoint when the run is interrupted — context cancellation, a
+	// decoder failure (for a network source: the connection died), or an
+	// OnBatch abort — capturing the last fully profiled batch. The profiler consumes events
 	// only at batch granularity, so this state is always consistent; it is
 	// skipped when the profiler itself failed mid-batch. An interrupted run
 	// therefore loses nothing past the last batch instead of everything
@@ -193,12 +199,17 @@ func ProfileStream(ctx context.Context, r io.Reader, cfg core.Config, opts Strea
 // must match the checkpointed configuration. The run keeps checkpointing
 // per opts, so a run can crash and resume repeatedly.
 func ResumeStream(ctx context.Context, r io.Reader, checkpointPath string, cfg core.Config, opts StreamOptions) (*core.Profiles, error) {
-	ckf, err := os.Open(checkpointPath)
+	_, doc, err := ReadCheckpointLog(checkpointPath)
 	if err != nil {
-		return nil, fmt.Errorf("profio: opening checkpoint: %w", err)
+		return nil, fmt.Errorf("profio: reading checkpoint: %w", err)
 	}
-	p, state, err := core.ResumeProfiler(ckf, cfg)
-	ckf.Close()
+	return ResumeStreamFrom(ctx, r, doc, cfg, opts)
+}
+
+// ResumeStreamFrom is ResumeStream from a checkpoint document already in
+// memory, such as the record a caller read and validated itself.
+func ResumeStreamFrom(ctx context.Context, r io.Reader, doc []byte, cfg core.Config, opts StreamOptions) (*core.Profiles, error) {
+	p, state, err := core.ResumeProfiler(bytes.NewReader(doc), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -252,6 +263,31 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 	}
 
 	so := newStreamObs(reg, base)
+	// lastState tracks the stream position of the last fully profiled
+	// batch: every checkpoint captures it.
+	lastState := base
+	sink := opts.CheckpointSink
+	if sink == nil && opts.CheckpointPath != "" {
+		log := NewCheckpointLog(opts.CheckpointPath)
+		sink = func(doc []byte, state core.StreamState) error {
+			if err := log.Append(state.EventsDelivered, doc); err != nil {
+				return fmt.Errorf("profio: writing checkpoint: %w", err)
+			}
+			return nil
+		}
+	}
+	// checkpoint encodes the profiler at the last batch boundary and hands
+	// the document to the sink.
+	checkpoint := func() error {
+		doc, err := p.Checkpoint(lastState)
+		if err == nil {
+			err = sink(doc, lastState)
+		}
+		if err == nil && so != nil {
+			so.checkpoints.Inc()
+		}
+		return err
+	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -272,12 +308,8 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 
 	var profileErr error
 	// profilerBroken means the profiler failed mid-batch: its state is not
-	// at a batch boundary and must never be checkpointed. lastState tracks
-	// the stream position of the last fully profiled batch — the state a
-	// final checkpoint captures when the run is interrupted.
+	// at a batch boundary and must never be checkpointed.
 	profilerBroken := false
-	lastState := base
-	var ckptBuf bytes.Buffer
 	batchIndex := 0
 	for b := range full {
 		if profileErr == nil {
@@ -304,12 +336,10 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 				lastState = core.StreamState{EventsDelivered: b.delivered, Corruption: base.Corruption}
 				lastState.Corruption.Merge(b.stats)
 				batchIndex++
-				if opts.CheckpointPath != "" && batchIndex%ckptEvery == 0 {
-					if err := writeCheckpointFile(p, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
+				if sink != nil && batchIndex%ckptEvery == 0 {
+					if err := checkpoint(); err != nil {
 						profileErr = err
 						cancel()
-					} else if so != nil {
-						so.checkpoints.Inc()
 					}
 				}
 			}
@@ -334,11 +364,9 @@ func runPipeline(ctx context.Context, br *trace.BinaryReader, p *core.Profiler, 
 		// The run is aborting. If the caller asked for durability across
 		// interruptions, preserve the last batch boundary; a checkpoint-write
 		// failure is reported alongside the abort reason, never silently.
-		if opts.FinalCheckpoint && opts.CheckpointPath != "" && !profilerBroken {
-			if err := writeCheckpointFile(p, opts.CheckpointPath, lastState, &ckptBuf); err != nil {
+		if opts.FinalCheckpoint && sink != nil && !profilerBroken {
+			if err := checkpoint(); err != nil {
 				runErr = errors.Join(runErr, err)
-			} else if so != nil {
-				so.checkpoints.Inc()
 			}
 		}
 		return nil, runErr
@@ -421,20 +449,4 @@ func startDecoder(ctx context.Context, br *trace.BinaryReader, so *streamObs, ba
 			}
 		}
 	}()
-}
-
-// writeCheckpointFile encodes the checkpoint into buf (reused across the
-// run's checkpoints) and installs it with backend.WriteAtomic: temp file,
-// fsync, rename, directory fsync. A crash at any instant leaves the previous
-// complete checkpoint, the new one, or none under path — never a partial
-// file — and an acknowledged checkpoint survives power loss.
-func writeCheckpointFile(p *core.Profiler, path string, state core.StreamState, buf *bytes.Buffer) error {
-	buf.Reset()
-	if err := p.WriteCheckpoint(buf, state); err != nil {
-		return err
-	}
-	if err := backend.WriteAtomic(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("profio: writing checkpoint: %w", err)
-	}
-	return nil
 }

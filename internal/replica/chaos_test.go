@@ -402,8 +402,84 @@ func TestReplicaTornPushSweep(t *testing.T) {
 			if redials == 0 {
 				t.Logf("seed %d: no replication conn tore (budget unspent); pushes=%d", seed, pushed)
 			}
+			// Retries and failed pushes included, every replica push is one
+			// replicate_us observation, and every push rides on a local
+			// append.
+			var appends, replicates, confirmed, failed uint64
+			for _, n := range c.nodes {
+				appends += histCount(n.obs, server.ObsScopeServer, "checkpoint_append_us")
+				replicates += histCount(n.obs, server.ObsScopeServer, "replicate_us")
+				snap := n.obs.Snapshot().Scope(server.ObsScopeServer)
+				confirmed += snap.Counter("replica_checkpoints_pushed")
+				failed += snap.Counter("replica_pushes_failed")
+			}
+			if replicates != confirmed+failed || appends < replicates || confirmed == 0 {
+				t.Fatalf("replicate_us observed %d times for %d confirmed + %d failed pushes, checkpoint_append_us %d times",
+					replicates, confirmed, failed, appends)
+			}
 		})
 	}
+}
+
+// TestBoundaryStageHistograms: a clean replicated session observes each
+// boundary stage once per checkpoint boundary — checkpoint_append_us (the
+// local append and fsync) and replicate_us (the push until MinConfirms) —
+// as many times as it sends boundary acks and confirms pushes.
+func TestBoundaryStageHistograms(t *testing.T) {
+	enc := testTrace(t, 52, 480)
+	want := offlineProfile(t, enc)
+	boundaries := uint64(sessionBatches(t, enc) / 4)
+	if boundaries == 0 {
+		t.Fatal("session crosses no checkpoint boundary: test is vacuous")
+	}
+	c := startReplicaCluster(t, 2, nil)
+	cd, err := client.NewClusterDialer(client.ClusterOptions{Nodes: c.addrs, SessionID: "stages", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Run(context.Background(), client.Options{SessionID: "stages", Open: opener(enc), Dialer: cd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reconnects != 0 {
+		t.Fatalf("clean session reconnected: %+v", res)
+	}
+	var got []byte
+	var appends, replicates, acks, confirmed uint64
+	for _, n := range c.nodes {
+		if r, ok := n.srv.Result("stages"); ok && r != nil {
+			got = r.Profile
+		}
+		appends += histCount(n.obs, server.ObsScopeServer, "checkpoint_append_us")
+		replicates += histCount(n.obs, server.ObsScopeServer, "replicate_us")
+		snap := n.obs.Snapshot().Scope(server.ObsScopeServer)
+		acks += snap.Counter("acks_sent")
+		confirmed += snap.Counter("replica_checkpoints_pushed")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("profile differs from the offline pipeline")
+	}
+	for name, n := range map[string]uint64{
+		"checkpoint_append_us observations": appends,
+		"replicate_us observations":         replicates,
+		"boundary acks":                     acks,
+		"confirmed pushes":                  confirmed,
+	} {
+		if n != boundaries {
+			t.Errorf("%s = %d, want one per boundary (%d)", name, n, boundaries)
+		}
+	}
+}
+
+// histCount returns a histogram's observation count, 0 when it was never
+// observed.
+func histCount(reg *obs.Registry, scope, name string) uint64 {
+	if s := reg.Snapshot().Scope(scope); s != nil {
+		if h := s.Histogram(name); h != nil {
+			return h.Count
+		}
+	}
+	return 0
 }
 
 // TestReplicaSyncPartitionRecovery interrupts a store sync mid-pull with

@@ -70,8 +70,9 @@ type Options struct {
 	// VirtualNodes tunes the ring (default cluster.DefaultVirtualNodes).
 	VirtualNodes int
 	// Dir, when set, persists received checkpoint replicas to disk so they
-	// survive a restart of this node (atomically; a torn write is detected
-	// and discarded on reload). Empty keeps replicas in memory only.
+	// survive a restart of this node: one checkpoint log per session, each
+	// replica durable before it is confirmed (a torn write is detected and
+	// discarded on reload). Empty keeps replicas in memory only.
 	Dir string
 	// Backend, when set, is served read-only to peers over APRR (load and
 	// list of packs, snapshots, index caches) for store anti-entropy sync.
@@ -139,6 +140,9 @@ type peerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
+	// wbuf is reused to encode requests: a checkpoint push is as large as
+	// the checkpoint.
+	wbuf []byte
 }
 
 // NewNode validates the membership and returns a ready Node. It fails
@@ -376,7 +380,8 @@ func (n *Node) exchange(pc *peerConn, req wire.Request) (wire.Response, error) {
 	deadline := time.Now().Add(n.opts.IOTimeout)
 	pc.conn.SetDeadline(deadline)
 	defer pc.conn.SetDeadline(time.Time{})
-	if _, err := pc.conn.Write(wire.AppendRequest(nil, req)); err != nil {
+	pc.wbuf = wire.AppendRequest(pc.wbuf[:0], req)
+	if _, err := pc.conn.Write(pc.wbuf); err != nil {
 		return wire.Response{}, err
 	}
 	return wire.ReadResponse(pc.br)

@@ -1,15 +1,16 @@
 package replica
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
-	"aprof/internal/repo/backend"
+	"aprof/internal/core"
+	"aprof/internal/profio"
 )
 
 // ckptStore holds the checkpoint replicas this node stores on behalf of
@@ -18,29 +19,31 @@ import (
 // the stored one are rejected as stale: a delayed push from a primary
 // that has since failed over can never roll a replica backwards.
 //
-// With a directory configured, every accepted replica is persisted
-// atomically (temp + fsync + rename, via backend.WriteAtomic) in a small
-// CRC-guarded envelope, and reloaded on open — so a restarted node still
-// serves the replicas it had confirmed. A torn or corrupt file fails its
-// CRC and is discarded on reload, exactly like a torn checkpoint file.
+// With a directory configured, every accepted replica is appended to the
+// session's checkpoint log (profio.CheckpointLog, <dir>/<session>.rck) and
+// is durable before the put is confirmed; the logs are reloaded on open, so
+// a restarted node still serves the replicas it had confirmed. A log
+// without an intact record — a torn write, bit rot, or a file of the
+// pre-log RCK1 format — is discarded on reload, and so is the temp file a
+// crash inside a log replacement leaves behind.
 type ckptStore struct {
 	dir string
 
 	mu   sync.Mutex
-	byID map[string]ckptEntry
+	byID map[string]*ckptEntry
 }
 
 type ckptEntry struct {
 	seq  uint64
 	data []byte
+	log  *profio.CheckpointLog // nil without a directory
 }
 
-// Replica-file envelope: magic, uvarint seq, uvarint len, data, CRC-32 of
-// everything before the CRC.
-const ckptFileMagic = "RCK1"
+// ckptFileExt is the file extension of the replica logs.
+const ckptFileExt = ".rck"
 
 func openCkptStore(dir string) (*ckptStore, error) {
-	s := &ckptStore{dir: dir, byID: make(map[string]ckptEntry)}
+	s := &ckptStore{dir: dir, byID: make(map[string]*ckptEntry)}
 	if dir == "" {
 		return s, nil
 	}
@@ -53,41 +56,58 @@ func openCkptStore(dir string) (*ckptStore, error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".rck") || strings.HasPrefix(name, ".") {
+		if e.IsDir() {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		session := strings.TrimSuffix(name, ".rck")
-		seq, data, derr := decodeCkptFile(raw)
-		if derr != nil {
-			// Torn by a crash mid-rename-window or bit-rotted: discard. The
-			// session's primary (or another replica) still holds it.
+		if profio.StrayCheckpointTemp(name, ckptFileExt) {
 			os.Remove(path)
 			continue
 		}
-		s.byID[session] = ckptEntry{seq: seq, data: data}
+		if !strings.HasSuffix(name, ckptFileExt) || strings.HasPrefix(name, ".") {
+			continue
+		}
+		seq, data, err := profio.ReadCheckpointLog(path)
+		if err != nil {
+			if errors.Is(err, core.ErrCheckpointCorrupt) {
+				// Torn or bit-rotted: discard. The session's primary (or
+				// another replica) still holds it.
+				os.Remove(path)
+			}
+			continue
+		}
+		s.byID[strings.TrimSuffix(name, ckptFileExt)] = &ckptEntry{seq: seq, data: bytes.Clone(data), log: profio.NewCheckpointLog(path)}
 	}
 	return s, nil
 }
 
 // put stores a replica if seq is newer than what is held. It returns the
-// held sequence and whether the put was accepted.
+// held sequence and whether the put was accepted. An accepted put keeps
+// data itself (each request arrives in a fresh buffer), so the caller must
+// not change it afterwards.
 func (s *ckptStore) put(session string, seq uint64, data []byte) (uint64, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if have, ok := s.byID[session]; ok && have.seq >= seq {
-		return have.seq, false, nil
+	e := s.byID[session]
+	if e != nil && e.seq >= seq {
+		return e.seq, false, nil
 	}
-	if s.dir != "" {
-		if err := backend.WriteAtomic(s.path(session), encodeCkptFile(seq, data), 0o644); err != nil {
+	if e == nil {
+		e = &ckptEntry{}
+		if s.dir != "" {
+			e.log = profio.NewCheckpointLog(s.path(session))
+		}
+		s.byID[session] = e
+	}
+	if e.log != nil {
+		if err := e.log.Append(seq, data); err != nil {
+			if e.data == nil {
+				delete(s.byID, session)
+			}
 			return 0, false, fmt.Errorf("replica: persisting checkpoint: %w", err)
 		}
 	}
-	s.byID[session] = ckptEntry{seq: seq, data: append([]byte(nil), data...)}
+	e.seq, e.data = seq, data
 	return seq, true, nil
 }
 
@@ -98,7 +118,7 @@ func (s *ckptStore) get(session string) (uint64, []byte, bool) {
 	if !ok {
 		return 0, nil, false
 	}
-	return e.seq, append([]byte(nil), e.data...), true
+	return e.seq, bytes.Clone(e.data), true
 }
 
 func (s *ckptStore) drop(session string) {
@@ -122,34 +142,5 @@ func (s *ckptStore) sessions() []string {
 }
 
 func (s *ckptStore) path(session string) string {
-	return filepath.Join(s.dir, session+".rck")
-}
-
-func encodeCkptFile(seq uint64, data []byte) []byte {
-	buf := append([]byte(nil), ckptFileMagic...)
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(data)))
-	buf = append(buf, data...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-func decodeCkptFile(raw []byte) (uint64, []byte, error) {
-	if len(raw) < len(ckptFileMagic)+4 || string(raw[:len(ckptFileMagic)]) != ckptFileMagic {
-		return 0, nil, fmt.Errorf("replica: bad replica file header")
-	}
-	body, crc := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != crc {
-		return 0, nil, fmt.Errorf("replica: replica file crc mismatch")
-	}
-	rest := body[len(ckptFileMagic):]
-	seq, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("replica: bad replica file seq")
-	}
-	rest = rest[n:]
-	size, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest[n:])) != size {
-		return 0, nil, fmt.Errorf("replica: bad replica file length")
-	}
-	return seq, append([]byte(nil), rest[n:]...), nil
+	return filepath.Join(s.dir, session+ckptFileExt)
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aprof/internal/profio"
 )
 
 func TestCkptStoreStaleRejection(t *testing.T) {
@@ -67,6 +69,10 @@ func TestCkptStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestCkptStoreDiscardsTornFiles: a replica log with no intact record —
+// torn, empty, bit-flipped, not a log, or a file of the pre-log RCK1
+// format — is discarded on reload, never served as a confirmed replica;
+// so is the temp file a crash inside a log replacement leaves behind.
 func TestCkptStoreDiscardsTornFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openCkptStore(dir)
@@ -77,9 +83,14 @@ func TestCkptStoreDiscardsTornFiles(t *testing.T) {
 		t.Fatalf("put: ok=%v err=%v", ok, err)
 	}
 
-	// Every torn prefix of a valid file, plus a bit-flipped whole, must be
-	// discarded on reload — never served as a confirmed replica.
-	whole := encodeCkptFile(9, []byte("payload"))
+	src := filepath.Join(t.TempDir(), "src.rck")
+	if err := profio.NewCheckpointLog(src).Append(9, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -88,6 +99,8 @@ func TestCkptStoreDiscardsTornFiles(t *testing.T) {
 		{"empty.rck", nil},
 		{"flipped.rck", flipByte(whole, len(whole)/2)},
 		{"notmagic.rck", []byte("XXXXjunk")},
+		{"legacy.rck", []byte("RCK1\x09\x07payload\x00\x00\x00\x00")},
+		{".good.rck.tmp3141592", whole},
 	} {
 		if err := os.WriteFile(filepath.Join(dir, tc.name), tc.data, 0o644); err != nil {
 			t.Fatal(err)
@@ -108,6 +121,17 @@ func TestCkptStoreDiscardsTornFiles(t *testing.T) {
 		if e.Name() != "good.rck" {
 			t.Fatalf("torn file %s survived reload", e.Name())
 		}
+	}
+	// The reloaded log takes further puts, and they survive another reload.
+	if _, ok, err := s2.put("good", 8, []byte("newer")); err != nil || !ok {
+		t.Fatalf("put after reload: ok=%v err=%v", ok, err)
+	}
+	s3, err := openCkptStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, data, ok := s3.get("good"); !ok || seq != 8 || string(data) != "newer" {
+		t.Fatalf("second reload: seq=%d data=%q ok=%v", seq, data, ok)
 	}
 }
 

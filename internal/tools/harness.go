@@ -38,15 +38,9 @@ func replayEvents(events []trace.Event) uint64 {
 // NativeTime measures the serialized native baseline: the best of `repeats`
 // uninstrumented replays of the merged trace.
 func NativeTime(tr *trace.Trace, repeats int) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for r := 0; r < max(repeats, 1); r++ {
-		start := time.Now()
-		nativeSink += replayEvents(tr.Events)
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return maxDuration(best, time.Nanosecond)
+	run, best := nativeProbe(tr, false)
+	roundRobin(repeats, run)
+	return best()
 }
 
 // NativeParallelTime measures the parallel native baseline: the wall-clock
@@ -58,22 +52,42 @@ func NativeTime(tr *trace.Trace, repeats int) time.Duration {
 // real concurrency could not speed the baseline up; the paper's testbed was
 // a 32-core Opteron, so the assumption matches its hardware, not ours.
 func NativeParallelTime(tr *trace.Trace, repeats int) time.Duration {
-	parts := trace.Split(tr)
-	var longest time.Duration
-	for i := range parts {
-		best := time.Duration(math.MaxInt64)
-		for r := 0; r < max(repeats, 1); r++ {
-			start := time.Now()
-			nativeSink += replayEvents(parts[i].Events)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		if best > longest {
-			longest = best
+	run, best := nativeProbe(tr, true)
+	roundRobin(repeats, run)
+	return best()
+}
+
+// nativeProbe returns one native replay of the trace — of each thread's
+// stream separately, when parallel — and the baseline so far: the best
+// replay time, or with parallel the longest per-thread best.
+func nativeProbe(tr *trace.Trace, parallel bool) (run func() error, best func() time.Duration) {
+	streams := [][]trace.Event{tr.Events}
+	if parallel {
+		streams = streams[:0]
+		for _, part := range trace.Split(tr) {
+			streams = append(streams, part.Events)
 		}
 	}
-	return maxDuration(longest, time.Nanosecond)
+	bests := make([]time.Duration, len(streams))
+	for i := range bests {
+		bests[i] = math.MaxInt64
+	}
+	run = func() error {
+		for i, events := range streams {
+			start := time.Now()
+			nativeSink += replayEvents(events)
+			bests[i] = min(bests[i], time.Since(start))
+		}
+		return nil
+	}
+	best = func() time.Duration {
+		var longest time.Duration
+		for _, b := range bests {
+			longest = max(longest, b)
+		}
+		return maxDuration(longest, time.Nanosecond)
+	}
+	return run, best
 }
 
 // Measurement is the raw cost of one tool on one trace.
@@ -85,24 +99,42 @@ type Measurement struct {
 	SpaceBytes int64
 }
 
-// Measure runs the tool over the trace `repeats` times and reports the best
-// time and the final space.
-func Measure(f Factory, tr *trace.Trace, repeats int) (Measurement, error) {
-	m := Measurement{Tool: f.Name}
-	best := time.Duration(math.MaxInt64)
-	for r := 0; r < max(repeats, 1); r++ {
+// toolProbe returns one timed run of a fresh tool over the trace and the
+// measurement so far: the best time and the last run's space.
+func toolProbe(f Factory, tr *trace.Trace) (run func() error, measurement func() Measurement) {
+	m := Measurement{Tool: f.Name, Duration: math.MaxInt64}
+	run = func() error {
 		tool := f.New(tr.Symbols)
 		start := time.Now()
 		if err := Run(tool, tr); err != nil {
-			return m, fmt.Errorf("tools: %s: %w", f.Name, err)
+			return fmt.Errorf("tools: %s: %w", f.Name, err)
 		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
+		m.Duration = min(m.Duration, time.Since(start))
 		m.SpaceBytes = tool.SpaceBytes()
+		return nil
 	}
-	m.Duration = maxDuration(best, time.Nanosecond)
-	return m, nil
+	measurement = func() Measurement {
+		out := m
+		out.Duration = maxDuration(out.Duration, time.Nanosecond)
+		return out
+	}
+	return run, measurement
+}
+
+// roundRobin takes the repeats of several measurements in rounds: every
+// round calls each run once, in order (at least one round). Host noise
+// that comes and goes — CPU steal on a shared machine — then falls on
+// every measurement alike instead of on whichever one happened to be
+// running back to back with its own repeats during it.
+func roundRobin(rounds int, runs ...func() error) error {
+	for r := 0; r < max(rounds, 1); r++ {
+		for _, run := range runs {
+			if err := run(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Overhead is one tool's slowdown and space overhead relative to native on
@@ -136,14 +168,10 @@ func (c CompareConfig) withDefaults() CompareConfig {
 }
 
 // Compare measures every tool on the trace and reports per-tool overheads.
+// Native and the tools take their repeats round-robin (native, each tool,
+// native, ...), and each keeps its best time.
 func Compare(tr *trace.Trace, cfg CompareConfig) ([]Overhead, error) {
 	cfg = cfg.withDefaults()
-	var native time.Duration
-	if cfg.ParallelNative {
-		native = NativeParallelTime(tr, cfg.Repeats)
-	} else {
-		native = NativeTime(tr, cfg.Repeats)
-	}
 	footprint := int64(tr.MemoryFootprint()) * 8
 	if footprint == 0 {
 		footprint = 8
@@ -159,15 +187,23 @@ func Compare(tr *trace.Trace, cfg CompareConfig) ([]Overhead, error) {
 			factories = append(factories, f)
 		}
 	}
+	nativeRun, native := nativeProbe(tr, cfg.ParallelNative)
+	runs := []func() error{nativeRun}
+	measurements := make([]func() Measurement, len(factories))
+	for i, f := range factories {
+		var run func() error
+		run, measurements[i] = toolProbe(f, tr)
+		runs = append(runs, run)
+	}
+	if err := roundRobin(cfg.Repeats, runs...); err != nil {
+		return nil, err
+	}
 	out := make([]Overhead, 0, len(factories))
-	for _, f := range factories {
-		m, err := Measure(f, tr, cfg.Repeats)
-		if err != nil {
-			return nil, err
-		}
+	for _, m := range measurements {
+		m := m()
 		out = append(out, Overhead{
-			Tool:          f.Name,
-			Slowdown:      float64(m.Duration) / float64(native),
+			Tool:          m.Tool,
+			Slowdown:      float64(m.Duration) / float64(native()),
 			SpaceOverhead: float64(footprint+m.SpaceBytes) / float64(footprint),
 		})
 	}

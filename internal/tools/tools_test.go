@@ -1,7 +1,9 @@
 package tools
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"aprof/internal/trace"
@@ -344,5 +346,48 @@ func TestMemcheckCompression(t *testing.T) {
 	m.define(17)
 	if m.DefinedCells != 4096 {
 		t.Errorf("re-define changed count to %d", m.DefinedCells)
+	}
+}
+
+// TestRoundRobinOrder pins the measurement schedule without timing
+// anything: every round runs each measurement once, in order, and a failing
+// run stops the schedule.
+func TestRoundRobinOrder(t *testing.T) {
+	var order []string
+	runs := func(names ...string) []func() error {
+		var out []func() error
+		for _, name := range names {
+			out = append(out, func() error {
+				order = append(order, name)
+				if name == "fail" {
+					return errors.New("tool failed")
+				}
+				return nil
+			})
+		}
+		return out
+	}
+	if err := roundRobin(3, runs("native", "nulgrind", "aprof", "aprof-drms")...); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Repeat("native nulgrind aprof aprof-drms ", 3)
+	if got := strings.Join(order, " ") + " "; got != want {
+		t.Errorf("run order %q, want %q", got, want)
+	}
+
+	order = nil
+	if err := roundRobin(0, runs("native", "aprof")...); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "native aprof" {
+		t.Errorf("zero rounds ran %q, want one round", got)
+	}
+
+	order = nil
+	if err := roundRobin(3, runs("native", "fail", "aprof")...); err == nil {
+		t.Fatal("failing run did not stop the schedule")
+	}
+	if got := strings.Join(order, " "); got != "native fail" {
+		t.Errorf("runs after a failure: %q", got)
 	}
 }
