@@ -35,7 +35,9 @@ type ReplicaService interface {
 	ServeConn(conn net.Conn, br *bufio.Reader)
 	// Replicate pushes one checkpoint (seq = events delivered) to the
 	// session's replica set, returning nil only once enough replicas
-	// confirmed it.
+	// confirmed it. data is the session's checkpoint buffer, which the
+	// next checkpoint overwrites: it is valid only until Replicate
+	// returns, and an implementation that keeps it must copy it.
 	Replicate(session string, seq uint64, data []byte) error
 	// Recover returns the newest replicated checkpoint for the session,
 	// or ErrNoReplicaCheckpoint.
