@@ -68,7 +68,7 @@ func main() {
 		storeDir  = flag.String("store", "", "profile repository directory (content-addressed, deduplicated, crash-safe); created if missing")
 		metric    = flag.String("metric", "drms", "input metric: drms, rms, or external-only")
 
-		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "concurrent session cap; excess connections are shed with a busy response")
+		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "concurrent session cap; excess connections are shed with a busy response. With -store, also the number of completed profiles kept in memory (older ones are served from the store)")
 		idle        = flag.Duration("idle-timeout", server.DefaultIdleTimeout, "per-read client deadline; stalled clients are cut off")
 		writeT      = flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-write client deadline")
 		maxBytes    = flag.Int64("max-conn-bytes", 0, "per-connection byte cap (0 = unlimited)")

@@ -358,9 +358,14 @@ func TestReplicaTornPushSweep(t *testing.T) {
 				ro.Dial = faultio.WrapDial(func(addr string) (net.Conn, error) {
 					return net.DialTimeout("tcp", addr, 2*time.Second)
 				}, faultio.ConnConfig{
-					Seed:            seed*1000 + int64(i),
-					MaxWriteChunk:   128,
-					ResetAfterBytes: 48 << 10,
+					Seed:          seed*1000 + int64(i),
+					MaxWriteChunk: 128,
+					// A link's budget holds the largest push (the final
+					// checkpoint, ~2 KB) with its confirmation, so a
+					// redialed link always delivers the retry, but not the
+					// ~20 KB one link carries over the session: every seed
+					// tears a link mid-push.
+					ResetAfterBytes: 4 << 10,
 				})
 			})
 
@@ -400,8 +405,9 @@ func TestReplicaTornPushSweep(t *testing.T) {
 				t.Fatal("no checkpoint was ever replicated — the chaos path was not exercised")
 			}
 			if redials == 0 {
-				t.Logf("seed %d: no replication conn tore (budget unspent); pushes=%d", seed, pushed)
+				t.Fatalf("no replication link tore (budget unspent, %d pushes): the torn-push path was not exercised", pushed)
 			}
+			t.Logf("%d pushes, %d redials", pushed, redials)
 			// Retries and failed pushes included, every replica push is one
 			// replicate_us observation, and every push rides on a local
 			// append.

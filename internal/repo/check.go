@@ -255,7 +255,7 @@ func (r *Repository) Stats() (StatsReport, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var s StatsReport
-	s.Packs = len(r.ix.packNames())
+	s.Packs = len(r.ix.packs)
 	s.Snapshots = len(r.snaps)
 	s.Sessions = len(r.sessions)
 	s.DamagedPacks = len(r.damaged)

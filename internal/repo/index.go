@@ -25,13 +25,15 @@ type indexEntry struct {
 	length uint32
 }
 
-// index is the in-memory blob location map.
+// index is the in-memory blob location map. packs counts the blobs each
+// pack holds in it, so the pack population is known without a walk.
 type index struct {
 	blobs map[ID]indexEntry
+	packs map[string]int
 }
 
 func newIndex() *index {
-	return &index{blobs: make(map[ID]indexEntry)}
+	return &index{blobs: make(map[ID]indexEntry), packs: make(map[string]int)}
 }
 
 func (ix *index) lookup(id ID) (indexEntry, bool) {
@@ -51,10 +53,23 @@ func (ix *index) has(id ID) bool {
 // repacking live blobs out of packs about to be deleted.
 func (ix *index) addPack(name string, entries []packEntry, overwrite bool) {
 	for _, e := range entries {
-		if _, dup := ix.blobs[e.id]; dup && !overwrite {
-			continue
+		old, dup := ix.blobs[e.id]
+		if dup {
+			if !overwrite {
+				continue
+			}
+			ix.unref(old.pack)
 		}
 		ix.blobs[e.id] = indexEntry{pack: name, typ: e.typ, offset: e.offset, length: e.length}
+		ix.packs[name]++
+	}
+}
+
+// unref drops one blob from a pack's count, and the pack with its last.
+func (ix *index) unref(pack string) {
+	ix.packs[pack]--
+	if ix.packs[pack] == 0 {
+		delete(ix.packs, pack)
 	}
 }
 
@@ -65,16 +80,13 @@ func (ix *index) dropPack(name string) {
 			delete(ix.blobs, id)
 		}
 	}
+	delete(ix.packs, name)
 }
 
 // packNames returns the sorted set of packs the index references.
 func (ix *index) packNames() []string {
-	seen := make(map[string]struct{})
-	for _, e := range ix.blobs {
-		seen[e.pack] = struct{}{}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
+	names := make([]string, 0, len(ix.packs))
+	for n := range ix.packs {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -883,7 +883,7 @@ func (r *Repository) markLiveLocked() (map[ID]int, error) {
 // updateGauges refreshes the cheap population gauges. The live/dead byte
 // gauges need a full mark pass, so only GC and Stats refresh those.
 func (r *Repository) updateGauges() {
-	r.m.packCount.Set(int64(len(r.ix.packNames())))
+	r.m.packCount.Set(int64(len(r.ix.packs)))
 	r.m.blobCount.Set(int64(len(r.ix.blobs)))
 	r.m.sessions.Set(int64(len(r.sessions)))
 }

@@ -458,3 +458,114 @@ func TestChunkerRealigns(t *testing.T) {
 		t.Fatalf("only %d/%d chunks shared after a front insertion", shared, len(chunks))
 	}
 }
+
+// TestPackCountGaugeTracksIndex: the pack_count gauge, kept from the
+// index's per-pack blob counts, equals the number of distinct packs the
+// index's blobs reference, and the packs the backend holds, after saves,
+// a re-save, a GC that repacks, and reopens from the index cache and from
+// a pack scan.
+func TestPackCountGaugeTracksIndex(t *testing.T) {
+	be, err := backend.OpenLocal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Init(be); err != nil {
+		t.Fatal(err)
+	}
+	check := func(r *Repository, reg *obs.Registry, stage string) {
+		t.Helper()
+		walked := make(map[string]struct{})
+		for _, e := range r.ix.blobs {
+			walked[e.pack] = struct{}{}
+		}
+		stored, err := be.List(backend.PackType)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := reg.Scope(ObsScopeRepo).Gauge("pack_count").Load()
+		if int(got) != len(walked) || len(r.ix.packNames()) != len(walked) || len(stored) != len(walked) {
+			t.Fatalf("%s: pack_count %d, packNames %d, distinct packs in the index %d, packs stored %d",
+				stage, got, len(r.ix.packNames()), len(walked), len(stored))
+		}
+	}
+
+	reg := obs.NewRegistry()
+	r, err := Open(be, Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := syntheticProfile(11, 48<<10)
+	for i, sid := range []string{"a", "b", "c"} {
+		if err := r.SaveProfile(sid, mutateProfile(base, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		check(r, reg, "save "+sid)
+	}
+	if err := r.SaveProfile("a", mutateProfile(base, 9)); err != nil {
+		t.Fatal(err)
+	}
+	check(r, reg, "re-save a")
+	stats, err := r.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BlobsMoved == 0 || stats.PacksDeleted == 0 {
+		t.Fatalf("gc did not repack: %+v", stats)
+	}
+	check(r, reg, "gc")
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg = obs.NewRegistry()
+	if r, err = Open(be, Options{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	check(r, reg, "reopen from the index cache")
+	r.Close()
+	names, err := be.List(backend.IndexType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if err := be.Remove(backend.Handle{Type: backend.IndexType, Name: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg = obs.NewRegistry()
+	if r, err = Open(be, Options{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	check(r, reg, "reopen from a pack scan")
+	r.Close()
+}
+
+// TestIndexPackCountFollowsBlobs: the index counts a pack while it
+// locates at least one blob. A duplicate keeps its first location unless
+// overwritten, and an overwrite that moves a pack's last blob away stops
+// counting that pack even before it is dropped.
+func TestIndexPackCountFollowsBlobs(t *testing.T) {
+	ix := newIndex()
+	a, b := packEntry{typ: BlobChunk, id: IDOf([]byte("a"))}, packEntry{typ: BlobChunk, id: IDOf([]byte("b"))}
+	check := func(stage string, want ...string) {
+		t.Helper()
+		if got := ix.packNames(); fmt.Sprint(got) != fmt.Sprint(want) || len(ix.packs) != len(want) {
+			t.Fatalf("%s: packs %v (count %d), want %v", stage, got, len(ix.packs), want)
+		}
+	}
+	ix.addPack("p1", []packEntry{a, b}, false)
+	check("p1 added", "p1")
+	ix.addPack("p2", []packEntry{a}, false)
+	check("duplicate kept in p1", "p1")
+	ix.addPack("p3", []packEntry{a}, true)
+	check("a moved to p3", "p1", "p3")
+	ix.addPack("p4", []packEntry{b}, true)
+	check("b moved to p4", "p3", "p4")
+	ix.dropPack("p1")
+	check("p1 dropped", "p3", "p4")
+	ix.dropPack("p3")
+	check("p3 dropped", "p4")
+	if _, ok := ix.lookup(a.id); ok {
+		t.Fatal("dropping p3 kept its blob")
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,7 +44,7 @@ var errEventLimit = errors.New("server: session event limit exceeded")
 
 // Options configures a Server. The zero value is usable: defaults above,
 // no byte/event limits, no durability (no checkpoint dir), results kept
-// in memory only.
+// in memory only (every one of them, for the life of the process).
 type Options struct {
 	// MaxSessions is the concurrent-session ceiling. Connection attempts
 	// beyond the effective limit receive an explicit busy response and are
@@ -81,7 +82,10 @@ type Options struct {
 	// crash-safe). Result and ResultIDs then also serve sessions that only
 	// exist in the store — e.g. from before a daemon restart — so the
 	// /profiles/ endpoints and cluster fan-out read through it
-	// transparently. The Server does not close the store.
+	// transparently. With a Store, memory holds only the MaxSessions most
+	// recently stored results; older ones are served from the store. Without
+	// one, memory is the only copy and every result stays there. The Server
+	// does not close the store.
 	Store *repo.Repository
 	// Config is the profiler configuration shared by all sessions. It must
 	// be identical across daemon restarts for checkpoints to resume.
@@ -141,6 +145,8 @@ type serverMetrics struct {
 	replicaFailed   *obs.Counter
 	replicaAdopted  *obs.Counter
 	active          *obs.Gauge
+	resultsCached   *obs.Gauge
+	resultsBytes    *obs.Gauge
 	resultEncode    *obs.Histogram
 	resultSave      *obs.Histogram
 	ckptAppend      *obs.Histogram
@@ -168,6 +174,8 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		replicaFailed:   s.Counter("replica_pushes_failed"),
 		replicaAdopted:  s.Counter("replica_checkpoints_adopted"),
 		active:          s.Gauge("active_sessions"),
+		resultsCached:   s.Gauge("results_cached"),
+		resultsBytes:    s.Gauge("results_cached_bytes"),
 		resultEncode:    s.Histogram("result_encode_us"),
 		resultSave:      s.Histogram("result_save_us"),
 		ckptAppend:      s.Histogram("checkpoint_append_us"),
@@ -199,7 +207,13 @@ type Server struct {
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
 	activeIDs map[string]struct{}
-	results   map[string]*SessionResult
+	// results holds completed sessions' outcomes in memory. With a Store
+	// it is a window of the MaxSessions most recently stored ones, listed
+	// oldest first in resultOrder; without one it holds every result and
+	// resultOrder stays empty. resultBytes sums the held profiles.
+	results     map[string]*SessionResult
+	resultOrder []string
+	resultBytes int64
 }
 
 // New returns an unstarted server. Call Start (or Serve with an existing
@@ -733,7 +747,9 @@ func (s *Server) releaseSlot(id string) {
 	s.mu.Unlock()
 }
 
-// storeResult serializes and retains a completed session's profile.
+// storeResult serializes a completed session's profile, writes it to the
+// ResultDir and the Store, and only then publishes it: a profile the daemon
+// failed to store is never served.
 func (s *Server) storeResult(id string, ps *core.Profiles, delivered uint64, resumed bool) error {
 	start := time.Now()
 	doc, err := profio.Marshal(ps)
@@ -741,24 +757,50 @@ func (s *Server) storeResult(id string, ps *core.Profiles, delivered uint64, res
 		return err
 	}
 	s.m.resultEncode.Observe(uint64(time.Since(start).Microseconds()))
-	res := &SessionResult{ID: id, Delivered: delivered, Resumed: resumed, Profile: doc}
-	s.mu.Lock()
-	s.results[id] = res
-	s.mu.Unlock()
 	if s.opts.ResultDir != "" {
 		path := filepath.Join(s.opts.ResultDir, id+".json")
-		if err := backend.WriteAtomic(path, res.Profile, 0o644); err != nil {
+		if err := backend.WriteAtomic(path, doc, 0o644); err != nil {
 			return err
 		}
 	}
 	if s.opts.Store != nil {
 		start := time.Now()
-		if err := s.opts.Store.SaveProfile(id, res.Profile); err != nil {
+		if err := s.opts.Store.SaveProfile(id, doc); err != nil {
 			return err
 		}
 		s.m.resultSave.Observe(uint64(time.Since(start).Microseconds()))
 	}
+	s.publishResult(&SessionResult{ID: id, Delivered: delivered, Resumed: resumed, Profile: doc})
 	return nil
+}
+
+// publishResult makes res the result Result serves for its id. With a
+// Store, res joins the window of the MaxSessions most recently stored
+// results as its newest entry, replacing any copy of the same id, and the
+// oldest entries beyond the window are dropped: the store already holds
+// them.
+func (s *Server) publishResult(res *SessionResult) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.results[res.ID]; ok {
+		s.resultBytes -= int64(len(old.Profile))
+		if i := slices.Index(s.resultOrder, res.ID); i >= 0 {
+			s.resultOrder = slices.Delete(s.resultOrder, i, i+1)
+		}
+	}
+	s.results[res.ID] = res
+	s.resultBytes += int64(len(res.Profile))
+	if s.opts.Store != nil {
+		s.resultOrder = append(s.resultOrder, res.ID)
+		for len(s.resultOrder) > s.opts.MaxSessions {
+			evict := s.resultOrder[0]
+			s.resultOrder = s.resultOrder[1:]
+			s.resultBytes -= int64(len(s.results[evict].Profile))
+			delete(s.results, evict)
+		}
+	}
+	s.m.resultsCached.Set(int64(len(s.results)))
+	s.m.resultsBytes.Set(s.resultBytes)
 }
 
 // ActiveSessions reports the number of sessions currently in flight.
@@ -769,9 +811,10 @@ func (s *Server) ActiveSessions() int {
 }
 
 // Result returns a completed session's outcome. With Options.Store set,
-// sessions that only exist in the repository (e.g. completed before a
-// daemon restart) are served from it; their Delivered/Resumed metadata is
-// zero — only this process's own sessions carry it.
+// sessions not held in memory — completed before a daemon restart, or
+// dropped from the window of recent results — are served from the
+// repository; their Delivered/Resumed metadata is zero: only results still
+// in memory carry it.
 func (s *Server) Result(id string) (*SessionResult, bool) {
 	s.mu.Lock()
 	r, ok := s.results[id]
@@ -786,8 +829,8 @@ func (s *Server) Result(id string) (*SessionResult, bool) {
 	return &SessionResult{ID: id, Profile: profile}, true
 }
 
-// ResultIDs lists completed sessions in lexical order: this process's
-// results merged with the profile repository's, when one is configured.
+// ResultIDs lists completed sessions in lexical order: the results held in
+// memory merged with the profile repository's, when one is configured.
 func (s *Server) ResultIDs() []string {
 	s.mu.Lock()
 	seen := make(map[string]struct{}, len(s.results))
