@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadProfiles -fuzztime $(FUZZTIME) ./internal/profio
 	$(GO) test -run xxx -fuzz FuzzProfileNaive -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzResumeCheckpoint -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz FuzzCheckpointLog -fuzztime $(FUZZTIME) ./internal/profio
 	$(GO) test -run xxx -fuzz FuzzEffects -fuzztime $(FUZZTIME) ./internal/vm/analysis
 	$(GO) test -run xxx -fuzz FuzzPackDecode -fuzztime $(FUZZTIME) ./internal/repo
 	$(GO) test -run xxx -fuzz FuzzIndexDecode -fuzztime $(FUZZTIME) ./internal/repo

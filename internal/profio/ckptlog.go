@@ -30,16 +30,19 @@ import (
 // the last intact record before it.
 //
 // A log never appends behind bytes it has not written itself: the first
-// write of a CheckpointLog, and every write once the file holds
-// ckptLogMaxRecords records, replaces the file with a one-record log
-// through backend.WriteAtomic (temp file, fsync, rename, directory fsync).
-// A crash leaves the previous durable file or the new one, never a file
-// without an intact record, and the file stays bounded.
+// write of a CheckpointLog, and every write that would make the file larger
+// than the log header plus ckptLogMaxRecords times the record being
+// written, replaces the file with a one-record log through
+// backend.WriteAtomic (temp file, fsync, rename, directory fsync). A crash
+// leaves the previous durable file or the new one, never a file without an
+// intact record. The bound is in bytes, not records, so a session whose
+// checkpoints grow — as a profiler's state does — keeps appending to the
+// log it installed; for equal-size records the fifth write replaces.
 type CheckpointLog struct {
 	path string
-	// records counts the records this log has put in the file since it last
-	// replaced it; 0 until its first write and after a failed one.
-	records int
+	// size is the file's length as this log last wrote it; 0 until its
+	// first write and after a failed one.
+	size int
 	// writeAtomic installs a replacement file: backend.WriteAtomic, or in
 	// the crash tests a write that dies before the rename.
 	writeAtomic func(path string, data []byte, perm os.FileMode) error
@@ -56,8 +59,8 @@ const (
 	ckptLogHdrLen  = len(ckptLogMagic) + 1
 	ckptRecHdrLen  = 8 + 4
 	ckptRecCRCLen  = 4
-	// ckptLogMaxRecords bounds a log file: the write after this many
-	// appended records replaces the file instead.
+	// ckptLogMaxRecords bounds a log file: it never grows past the header
+	// plus this many times the record last written to it.
 	ckptLogMaxRecords = 4
 )
 
@@ -81,9 +84,11 @@ func (l *CheckpointLog) Append(seq uint64, doc []byte) error {
 	buf := append((*bp)[:0], ckptLogMagic...)
 	buf = append(buf, ckptLogVersion)
 	buf = appendCheckpointRecord(buf, seq, doc)
+	rec := len(buf) - ckptLogHdrLen
+	size := l.size + rec
 	var err error
-	if l.records == 0 || l.records >= ckptLogMaxRecords {
-		l.records = 0
+	if l.size == 0 || size > ckptLogHdrLen+ckptLogMaxRecords*rec {
+		size = len(buf)
 		err = l.writeAtomic(l.path, buf, 0o644)
 	} else {
 		err = l.appendRecord(buf[ckptLogHdrLen:])
@@ -93,10 +98,10 @@ func (l *CheckpointLog) Append(seq uint64, doc []byte) error {
 	if err != nil {
 		// The file may now end in a torn record; the next write replaces
 		// it rather than append behind it.
-		l.records = 0
+		l.size = 0
 		return err
 	}
-	l.records++
+	l.size = size
 	return nil
 }
 

@@ -37,24 +37,62 @@ func checkLast(t *testing.T, path string, seq uint64, doc []byte) {
 	}
 }
 
-// TestCheckpointLogStaysBounded appends many records: every one is the
-// log's last record as soon as Append returns, and the file never holds
-// more than ckptLogMaxRecords of them.
+// equalDocs returns n distinct pseudo-random documents of size bytes each.
+func equalDocs(n, size int) [][]byte {
+	rng := rand.New(rand.NewSource(int64(n * size)))
+	docs := make([][]byte, n)
+	for i := range docs {
+		docs[i] = make([]byte, size)
+		rng.Read(docs[i])
+	}
+	return docs
+}
+
+// TestCheckpointLogStaysBounded appends records of random, growing and
+// equal sizes: every one is the log's last record as soon as Append
+// returns; the file never grows past the log header plus ckptLogMaxRecords
+// times the record just written; and a record is appended, not the file
+// replaced, whenever that bound allows it — so equal-size records replace
+// the file on every fifth write.
 func TestCheckpointLogStaysBounded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.apck")
-	log := NewCheckpointLog(path)
-	for i, doc := range testDocs(23) {
-		seq := uint64(100 * (i + 1))
-		if err := log.Append(seq, doc); err != nil {
-			t.Fatal(err)
-		}
-		checkLast(t, path, seq, doc)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, want := len(logRecords(t, raw)), i%ckptLogMaxRecords+1; n != want {
-			t.Fatalf("after append %d the log holds %d records, want %d", i+1, n, want)
+	growing := make([][]byte, 16)
+	for i := range growing {
+		growing[i] = bytes.Repeat([]byte{byte(i)}, 40+10*i)
+	}
+	for name, docs := range map[string][][]byte{
+		"random":  testDocs(23),
+		"growing": growing,
+		"equal":   equalDocs(13, 100),
+	} {
+		path := filepath.Join(t.TempDir(), "s.apck")
+		log := NewCheckpointLog(path)
+		size, records := 0, 0
+		for i, doc := range docs {
+			seq := uint64(100 * (i + 1))
+			if err := log.Append(seq, doc); err != nil {
+				t.Fatal(err)
+			}
+			checkLast(t, path, seq, doc)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := ckptRecHdrLen + len(doc) + ckptRecCRCLen
+			if bound := ckptLogHdrLen + ckptLogMaxRecords*rec; len(raw) > bound {
+				t.Fatalf("%s: after append %d the log is %d bytes, bound %d", name, i+1, len(raw), bound)
+			}
+			if i > 0 && size+rec <= ckptLogHdrLen+ckptLogMaxRecords*rec {
+				records++
+			} else {
+				records = 1
+			}
+			if n := len(logRecords(t, raw)); n != records {
+				t.Fatalf("%s: after append %d the log holds %d records, want %d", name, i+1, n, records)
+			}
+			if name == "equal" && records != i%ckptLogMaxRecords+1 {
+				t.Fatalf("equal-size append %d left %d records, want %d", i+1, records, i%ckptLogMaxRecords+1)
+			}
+			size = len(raw)
 		}
 	}
 }
@@ -141,7 +179,7 @@ func TestCheckpointLogCrashBeforeFsync(t *testing.T) {
 // temp file is recognized for the sweep, and the restarted writer's first
 // write succeeds.
 func TestCheckpointLogCrashMidCompaction(t *testing.T) {
-	docs := testDocs(ckptLogMaxRecords + 2)
+	docs := equalDocs(ckptLogMaxRecords+2, 120)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.apck")
 	log := NewCheckpointLog(path)

@@ -185,7 +185,7 @@ func (t *Table[T]) SizeBytes(elemSize int) int64 {
 func (t *Table[T]) ForEach(isZero func(T) bool, fn func(trace.Addr, T)) {
 	for key, n := range t.top {
 		base := key << topShift
-		for li, lf := range n.leaves {
+		for li, lf := range &n.leaves {
 			if lf == nil {
 				continue
 			}
@@ -214,7 +214,7 @@ func (t *Table[T]) Leaves(fn func(base trace.Addr, cells []T)) {
 	for _, key := range keys {
 		n := t.top[key]
 		base := key << topShift
-		for li, lf := range n.leaves {
+		for li, lf := range &n.leaves {
 			if lf != nil {
 				fn(trace.Addr(base|uint64(li)<<lowBits), lf.cells[:])
 			}
@@ -226,7 +226,7 @@ func (t *Table[T]) Leaves(fn func(base trace.Addr, cells []T)) {
 // Cells never stored to are not visited (their chunks do not exist).
 func (t *Table[T]) UpdateAll(fn func(T) T) {
 	for _, n := range t.top {
-		for _, lf := range n.leaves {
+		for _, lf := range &n.leaves {
 			if lf == nil {
 				continue
 			}
