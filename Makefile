@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz faults suppress-equivalence chaos chaos-cluster chaos-replica store-torture bench bench-baseline bench-all cover experiments examples clean
+.PHONY: all build test vet lint race fuzz faults chaos chaos-cluster chaos-replica store-torture bench bench-baseline bench-all cover experiments examples clean
 
 all: build test
 
@@ -53,16 +53,6 @@ faults:
 	$(GO) test -run 'Fault|Retry|Resume|Kill|Lenient|Corrupt|Checkpoint' \
 		./internal/trace ./internal/core ./internal/profio ./cmd/aprof
 
-# Instrumentation redundancy suppression vs the full per-instruction
-# tracer: the differential harness proves suppressed traces produce
-# byte-identical profiler output (reports, plots, stream checkpoints)
-# across the corpora, the VM workloads, and seeded random programs, plus
-# the opcode-table cross-checks — race-enabled and time-bounded.
-suppress-equivalence:
-	$(GO) test -race -timeout 300s -count=1 \
-		-run 'TestSuppress|TestOpTable|TestEffects' \
-		./internal/vm/analysis ./internal/workloads
-
 # Network chaos suite, under the race detector with a hard timeout (a
 # drain/backpressure deadlock must fail the run, not hang it): chaos-conn
 # reconnect sweeps, randomized daemon kills with checkpoint resume,
@@ -110,10 +100,10 @@ store-torture:
 	$(GO) test -race -timeout 90s -count=1 -run 'TestStore' ./internal/server ./cmd/aprofd
 
 # Benchmark-regression harness: run the hot-path benchmarks (core, shadow,
-# profio, obs, vm) with -benchmem and diff ns/op against the committed
+# profio, obs) with -benchmem and diff ns/op against the committed
 # BENCH_core.json baseline (±15%). Reports only — benchdiff exits 0 even on
 # regressions (add -exit-code for a hard local gate).
-BENCH_PKGS = ./internal/core ./internal/shadow ./internal/profio ./internal/obs ./internal/vm
+BENCH_PKGS = ./internal/core ./internal/shadow ./internal/profio ./internal/obs
 bench:
 	$(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS) | tee bench_output.txt
 	$(GO) run ./internal/tools/benchdiff bench_output.txt

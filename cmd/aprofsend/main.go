@@ -34,7 +34,6 @@ func main() {
 		clusterN = flag.String("cluster", "", "comma-separated aprofd node addresses; routes by session id with ring-successor failover (overrides -addr)")
 		session  = flag.String("session", "", "session id (required; names the profile on the server)")
 		lenient  = flag.Bool("lenient", false, "ask the server to skip corrupt APT2 frames instead of aborting")
-		suppress = flag.Bool("suppress", false, "declare an effect-suppressed trace (vm.Options.Suppress); the profile is identical, the server counts it")
 		attempts = flag.Int("attempts", client.DefaultMaxAttempts, "consecutive failed attempts tolerated (progress resets the count)")
 		backoff  = flag.Duration("backoff", client.DefaultBackoff, "base reconnect backoff (doubles per consecutive failure)")
 		jitter   = flag.Float64("jitter", 0.2, "reconnect backoff jitter fraction")
@@ -63,7 +62,6 @@ func main() {
 		Addr:        *addr,
 		SessionID:   *session,
 		Lenient:     *lenient,
-		Suppressed:  *suppress,
 		Open:        func() (io.ReadCloser, error) { return os.Open(path) },
 		MaxAttempts: *attempts,
 		Backoff:     *backoff,

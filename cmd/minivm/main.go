@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	minivm [-quantum N] [-max-steps N] [-trace FILE] [-trace-format binary2|binary|text] [-suppress] [-stats|-fmt|-disasm] program.ml
+//	minivm [-quantum N] [-max-steps N] [-trace FILE] [-trace-format binary2|binary|text] [-stats|-fmt|-disasm] program.ml
 //	minivm vet program.ml...
 //	minivm effects program.ml...
 //
@@ -17,16 +17,12 @@
 //
 // The effects subcommand prints the per-function block/cost/effect report
 // of the CFG effect analysis: each basic block's static step cost and its
-// memory accesses with symbolic addresses, marking accesses the redundancy
-// suppressor elides and blocks that bail out of aggregation. Diagnostics
-// go to stderr; the report is informational, so only hard errors fail.
+// memory accesses with symbolic addresses, per VM sub-block. Diagnostics
+// (including V007 dead stores) go to stderr; the report is informational,
+// so only hard errors fail.
 //
 // -trace writes checksummed APT2 (binary2) by default; binary selects the
 // legacy unframed APT1 encoding and text the line-oriented one.
-//
-// -suppress runs the program with instrumentation redundancy suppression:
-// per-block aggregated trace emission with provably redundant accesses
-// elided. Profiler results over the trace are unchanged (see DESIGN.md).
 package main
 
 import (
@@ -56,7 +52,6 @@ func main() {
 		optimize = flag.Bool("optimize", false, "run the bytecode optimizer before execution")
 		format   = flag.Bool("fmt", false, "format the program to stdout instead of running it")
 		disasm   = flag.Bool("disasm", false, "print the compiled bytecode instead of running")
-		suppress = flag.Bool("suppress", false, "suppress provably redundant instrumentation (aggregated block events)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -98,7 +93,6 @@ func main() {
 		MaxSteps: *maxSteps,
 		Stdout:   os.Stdout,
 		Optimize: *optimize,
-		Suppress: *suppress,
 	})
 	if err != nil {
 		fatal(err)
@@ -106,11 +100,6 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "threads: %d  steps: %d  basic blocks: %d  trace events: %d\n",
 			res.Threads, res.Steps, res.BasicBlocks, res.Trace.Len())
-		if s := res.Suppress; s != nil {
-			fmt.Fprintf(os.Stderr, "suppress: mem ops: %d  elided: %d (static %d, dynamic %d, coalesced %d)  blocks: %d aggregated, %d direct, %d bailed (sys)  overflows: %d\n",
-				s.MemOps, s.Elided(), s.ElidedStatic, s.ElidedDynamic, s.Coalesced,
-				s.BlocksAggregated, s.BlocksDirect, s.BlocksBailedSys, s.Overflows)
-		}
 	}
 	if *traceOut != "" {
 		if err := trace.WriteFile(*traceOut, *traceFmt, res.Trace); err != nil {

@@ -99,7 +99,7 @@ fn main() {
 		t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
 	}
 	got := out.String()
-	for _, want := range []string{"fn main", "aggregate", "[elided]"} {
+	for _, want := range []string{"fn main", "steps=33", "R  1+l0@1", "W  3+l0@1"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}

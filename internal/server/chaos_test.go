@@ -273,7 +273,7 @@ func TestDrainWithStalledClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(server.AppendHandshake(nil, "stalled", false, false))
+	conn.Write(server.AppendHandshake(nil, "stalled", false))
 	// Send most of the trace, then stall forever mid-frame, giving the
 	// session a moment to profile what arrived.
 	conn.Write(enc[:len(enc)*2/3])

@@ -52,11 +52,6 @@ type Options struct {
 	SessionID string
 	// Lenient asks the server to decode the trace leniently.
 	Lenient bool
-	// Suppressed declares the trace was recorded with effect-based
-	// instrumentation suppression (vm.Options.Suppress). The profile is
-	// identical either way; the server counts suppressed sessions in its
-	// metrics.
-	Suppressed bool
 	// Open returns a fresh reader over the trace from byte zero. It is
 	// called once per connection attempt: resume-by-resend needs a
 	// restartable source, not a one-shot stream.
@@ -258,7 +253,7 @@ func attemptOnce(ctx context.Context, opts Options, res *Result) (progressed, do
 	stopCancel := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stopCancel()
 
-	if _, err := conn.Write(server.AppendHandshake(nil, opts.SessionID, opts.Lenient, opts.Suppressed)); err != nil {
+	if _, err := conn.Write(server.AppendHandshake(nil, opts.SessionID, opts.Lenient)); err != nil {
 		return false, false, fmt.Errorf("client: sending handshake: %w", err)
 	}
 	br := bufio.NewReader(conn)

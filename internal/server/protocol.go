@@ -47,13 +47,9 @@ const (
 	// slot or reading a trace. The cluster health checker dials one of
 	// these per node per interval.
 	flagProbe byte = 1 << 1
-	// flagSuppress declares the trace was recorded with effect-based
-	// instrumentation suppression (vm.Options.Suppress): redundant
-	// read/write events were elided at the source. The profile is provably
-	// identical either way, so the daemon's pipeline needs no switch — the
-	// flag is declarative, counted in metrics so operators can see how much
-	// of the fleet runs suppressed.
-	flagSuppress byte = 1 << 2
+	// Bit 1<<2 once declared a trace recorded with the retired
+	// instrumentation suppression. It is no longer defined; readHandshake
+	// ignores it like any unknown bit, so old clients are served unchanged.
 
 	// Response statuses and record kinds are exported for the client
 	// package and raw-socket tests.
@@ -87,10 +83,9 @@ func ValidSessionID(id string) bool {
 
 // handshake is the decoded client hello.
 type handshake struct {
-	id       string
-	lenient  bool
-	probe    bool
-	suppress bool
+	id      string
+	lenient bool
+	probe   bool
 }
 
 // readHandshake parses the client hello from br.
@@ -122,10 +117,9 @@ func readHandshake(br *bufio.Reader) (handshake, error) {
 		return none, fmt.Errorf("server: invalid session id %q", id)
 	}
 	return handshake{
-		id:       string(id),
-		lenient:  flags&flagLenient != 0,
-		probe:    flags&flagProbe != 0,
-		suppress: flags&flagSuppress != 0,
+		id:      string(id),
+		lenient: flags&flagLenient != 0,
+		probe:   flags&flagProbe != 0,
 	}, nil
 }
 
@@ -144,17 +138,13 @@ func AppendProbe(dst []byte) []byte {
 }
 
 // AppendHandshake encodes the client hello (exported for the client
-// package and raw-socket tests). suppress declares an effect-suppressed
-// trace (see flagSuppress).
-func AppendHandshake(dst []byte, id string, lenient, suppress bool) []byte {
+// package and raw-socket tests).
+func AppendHandshake(dst []byte, id string, lenient bool) []byte {
 	dst = append(dst, protoMagic...)
 	dst = append(dst, protoVersion)
 	var flags byte
 	if lenient {
 		flags |= flagLenient
-	}
-	if suppress {
-		flags |= flagSuppress
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(id)))

@@ -139,7 +139,6 @@ type serverMetrics struct {
 	ckptDiscarded   *obs.Counter
 	acksSent        *obs.Counter
 	bytesReceived   *obs.Counter
-	suppressed      *obs.Counter
 	replicaConns    *obs.Counter
 	replicaPushed   *obs.Counter
 	replicaFailed   *obs.Counter
@@ -168,7 +167,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		ckptDiscarded:   s.Counter("checkpoints_discarded"),
 		acksSent:        s.Counter("acks_sent"),
 		bytesReceived:   s.Counter("bytes_received"),
-		suppressed:      s.Counter("sessions_suppressed"),
 		replicaConns:    s.Counter("replica_conns"),
 		replicaPushed:   s.Counter("replica_checkpoints_pushed"),
 		replicaFailed:   s.Counter("replica_pushes_failed"),
@@ -483,9 +481,6 @@ func (s *Server) session(conn net.Conn) {
 	s.m.sessionsStarted.Inc()
 	if resumeState != nil {
 		s.m.sessionsResumed.Inc()
-	}
-	if hs.suppress {
-		s.m.suppressed.Inc()
 	}
 	s.m.active.Add(1)
 	defer s.m.active.Add(-1)

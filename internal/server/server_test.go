@@ -128,14 +128,14 @@ func TestDaemonCleanSessionMatchesOffline(t *testing.T) {
 }
 
 // TestHandshakeRejects: malformed hellos must be answered with a status
-// error, not crash or hang the daemon.
+// error, not crash or hang the daemon; unknown flag bits are not malformed.
 func TestHandshakeRejects(t *testing.T) {
 	s := startServer(t, server.Options{})
 	cases := map[string][]byte{
 		"bad magic":   []byte("NOPE\x01\x00\x03abc"),
 		"bad version": []byte("APRD\x63\x00\x03abc"),
 		"empty id":    []byte("APRD\x01\x00\x00"),
-		"bad id":      append(server.AppendHandshake(nil, "ok", false, false)[:6], append([]byte{4}, "a/.."...)...),
+		"bad id":      append(server.AppendHandshake(nil, "ok", false)[:6], append([]byte{4}, "a/.."...)...),
 	}
 	for name, hello := range cases {
 		conn, err := net.Dial("tcp", s.Addr())
@@ -151,6 +151,41 @@ func TestHandshakeRejects(t *testing.T) {
 			t.Errorf("%s: status %q, want error", name, resp.Status)
 		}
 		conn.Close()
+	}
+
+	// An unknown flag bit is not malformed: a hello with the retired bit
+	// 1<<2 set is accepted and yields the offline profile.
+	enc := testTrace(t, 3, 600)
+	hello := server.AppendHandshake(nil, "bit2", false)
+	hello[5] |= 1 << 2
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Write(hello)
+	br := bufio.NewReader(conn)
+	resp, err := server.ReadResponse(br)
+	if err != nil || resp.Status != server.StatusOK {
+		t.Fatalf("bit 2 hello: status %q, err %v; want accepted", resp.Status, err)
+	}
+	conn.Write(enc)
+	conn.(*net.TCPConn).CloseWrite()
+	for {
+		rec, err := server.ReadRecord(br)
+		if err != nil {
+			t.Fatalf("bit 2 session: %v", err)
+		}
+		if rec.Kind == server.RecError {
+			t.Fatalf("bit 2 session failed: %s", rec.Msg)
+		}
+		if rec.Kind == server.RecFinal {
+			break
+		}
+	}
+	got, ok := s.Result("bit2")
+	if !ok || !bytes.Equal(got.Profile, offlineProfile(t, enc)) {
+		t.Fatal("bit 2 session profile differs from offline pipeline")
 	}
 }
 
@@ -393,7 +428,7 @@ func TestSlowLorisTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(server.AppendHandshake(nil, "loris", false, false))
+	conn.Write(server.AppendHandshake(nil, "loris", false))
 	br := bufio.NewReader(conn)
 	if resp, err := server.ReadResponse(br); err != nil || resp.Status != server.StatusOK {
 		t.Fatalf("handshake: %+v, %v", resp, err)

@@ -9,36 +9,19 @@ import (
 )
 
 // Effect analysis: a dataflow pass over the CFG that computes, per basic
-// block, the static step cost and a summarized memory-effect set — which
-// addresses are read, written, or provably redundant under the profiler's
-// first-access (rms/drms) semantics — and compiles the result into a
-// vm.EffectPlan the interpreter uses to suppress redundant instrumentation.
+// block, the static step cost and the symbolic memory accesses of each VM
+// sub-block, and flags dead stores (V007).
 //
-// The soundness frame: the scheduler switches threads only at VM
-// basic-block leaders, and the profiler's global counter ticks only on
-// call, thread-switch, and kernel-to-user events. Within one VM block with
-// no sys op, every traced access therefore shares one counter value and one
-// shadow stack top, which makes (a) a re-read of an address already
-// accessed in the block and (b) a re-write of an address already written
-// complete profiler no-ops, regardless of interleaved accesses to other
-// addresses — no alias analysis is needed. Sys ops tick the counter
-// mid-block, so they end "segments": nothing after a sys op is judged
-// against anything before it, and blocks containing sys ops bail out of
-// event aggregation entirely.
+// The frame the dead-store check relies on: the scheduler switches threads
+// only at VM basic-block leaders, so no other thread runs between two
+// accesses of one VM block. Sys ops transfer a cell range mid-block (and
+// tick the profiler's counter), so they end "segments": nothing after a sys
+// op is judged against anything before it. A store overwritten later in the
+// same segment, with no possibly-aliasing read in between, is dead.
 //
 // Addresses are compared symbolically as linear forms over versioned local
 // slots (const + Σ coeff·local@version). Identical forms denote identical
 // runtime addresses; everything else is conservatively distinct.
-
-func init() {
-	vm.SetEffectPlanner(func(cp *vm.CompiledProgram) (*vm.EffectPlan, error) {
-		pe, err := AnalyzeProgram(cp)
-		if err != nil {
-			return nil, err
-		}
-		return pe.Plan(), nil
-	})
-}
 
 // ---------------------------------------------------------------------------
 // Symbolic address expressions.
@@ -163,21 +146,18 @@ func negExpr(a addrExpr) addrExpr { return addExprs(exprConst(0), a, -1) }
 type Access struct {
 	PC    int
 	Write bool
-	// Sys marks a sysread/syswrite range transfer (never elided; Expr is
-	// the base address, N the symbolic length).
+	// Sys marks a sysread/syswrite range transfer (Expr is the base
+	// address, N the symbolic length).
 	Sys bool
 	N   string
 	// Expr is the rendered symbolic address ("?" when unknown).
 	Expr string
-	// Elided marks accesses the plan proves redundant.
-	Elided bool
 }
 
 // SubBlock is one VM basic block (scheduling-atomic instruction run) inside
-// a CFG block, the unit at which suppression decisions are made.
+// a CFG block.
 type SubBlock struct {
 	Start, End int
-	Class      vm.BlockClass
 	Accesses   []Access
 }
 
@@ -197,10 +177,6 @@ type FuncEffects struct {
 	Fn     *vm.Func
 	Graph  *CFG
 	Blocks []BlockEffects
-	// Elide and Class are the raw plan tables (indexed by pc; Class is
-	// meaningful at block leaders).
-	Elide []bool
-	Class []vm.BlockClass
 
 	deadStores []deadStore
 }
@@ -254,15 +230,6 @@ func AnalyzeProgram(cp *vm.CompiledProgram) (*ProgramEffects, error) {
 	return pe, nil
 }
 
-// Plan compiles the analysis into the interpreter's suppression plan.
-func (pe *ProgramEffects) Plan() *vm.EffectPlan {
-	plan := &vm.EffectPlan{Funcs: make([]vm.PlanFunc, len(pe.Funcs))}
-	for i, fe := range pe.Funcs {
-		plan.Funcs[i] = vm.PlanFunc{Elide: fe.Elide, Class: fe.Class}
-	}
-	return plan
-}
-
 // DeadStores renders the V007 dead-store diagnostics of the program.
 func (pe *ProgramEffects) DeadStores() []Diagnostic {
 	var out []Diagnostic
@@ -289,12 +256,7 @@ func (pe *ProgramEffects) analyzeFunc(fn *vm.Func) (*FuncEffects, error) {
 	if err != nil {
 		return nil, err
 	}
-	fe := &FuncEffects{
-		Fn:    fn,
-		Graph: g,
-		Elide: make([]bool, len(fn.Code)),
-		Class: make([]vm.BlockClass, len(fn.Code)),
-	}
+	fe := &FuncEffects{Fn: fn, Graph: g}
 	w := &walker{pe: pe, fn: fn, fe: fe}
 	for _, b := range g.Blocks {
 		w.walkBlock(b)
@@ -302,7 +264,7 @@ func (pe *ProgramEffects) analyzeFunc(fn *vm.Func) (*FuncEffects, error) {
 	return fe, nil
 }
 
-// segAcc is one access of the current redundancy segment.
+// segAcc is one access of the current segment.
 type segAcc struct {
 	pc    int
 	expr  addrExpr
@@ -319,16 +281,14 @@ type walker struct {
 	seen  []segAcc
 
 	sub         SubBlock
-	subMemOps   int // non-elided loadmem/storemem in the sub-block
-	subHasSys   bool
 	pendingSubs []SubBlock
 }
 
 // walkBlock symbolically executes one CFG block. The evaluation stack and
 // local versions flow across VM sub-block boundaries (they are
-// thread-private state no other thread can touch); the redundancy segment
-// resets at every VM leader (scheduling point) and after every sys op
-// (mid-block counter tick).
+// thread-private state no other thread can touch); the segment resets at
+// every VM leader (scheduling point) and after every sys op (mid-block
+// range transfer).
 func (w *walker) walkBlock(b *BasicBlock) {
 	w.ver = make([]int32, w.fn.NumLocals)
 	w.stack = w.stack[:0]
@@ -360,22 +320,11 @@ func (w *walker) takeSubs() []SubBlock {
 
 func (w *walker) startSub(pc int) {
 	w.sub = SubBlock{Start: pc}
-	w.subMemOps = 0
-	w.subHasSys = false
 	w.seen = w.seen[:0]
 }
 
 func (w *walker) closeSub(end int) {
 	w.sub.End = end
-	cls := vm.ClassDirect
-	switch {
-	case w.subHasSys:
-		cls = vm.ClassBailSys
-	case w.subMemOps >= 2:
-		cls = vm.ClassAggregate
-	}
-	w.sub.Class = cls
-	w.fe.Class[w.sub.Start] = cls
 	w.pendingSubs = append(w.pendingSubs, w.sub)
 	w.seen = w.seen[:0]
 }
@@ -436,7 +385,6 @@ func (w *walker) step(pc int) {
 			N:     w.pe.renderScalar(n),
 			Expr:  w.pe.render(base),
 		})
-		w.subHasSys = true
 		// The kernel transfer ticks the profiler counter and touches a cell
 		// range: nothing downstream may be judged against anything upstream.
 		w.seen = w.seen[:0]
@@ -461,63 +409,40 @@ func (w *walker) step(pc int) {
 	}
 }
 
-// access records a traced single-cell access, deciding redundancy (Elide)
-// and dead stores (V007) against the current segment.
+// access records a traced single-cell access and checks a write for dead
+// stores (V007) against the current segment.
 func (w *walker) access(pc int, e addrExpr, write bool) {
-	elided := false
-	if e.known {
-		if write {
-			for i := len(w.seen) - 1; i >= 0; i-- {
-				s := w.seen[i]
-				if !s.write || !s.expr.equal(e) {
-					continue
-				}
-				// Same-address write earlier in the segment: this write is a
-				// profiler no-op (same count, same stack top, same writer
-				// kind — the shadow state it would set is already set).
-				elided = true
-				// V007: the earlier store is dead unless some possibly-
-				// aliasing read happened in between.
-				dead := true
-				for j := i + 1; j < len(w.seen); j++ {
-					r := w.seen[j]
-					if !r.write && !r.expr.disjoint(e) {
-						dead = false
-						break
-					}
-				}
-				if dead {
-					w.fe.deadStores = append(w.fe.deadStores, deadStore{
-						pc:          w.seen[i].pc,
-						overwritePC: pc,
-						expr:        w.pe.render(e),
-					})
-				}
-				break
-			}
-		} else {
-			for _, s := range w.seen {
-				if s.expr.equal(e) {
-					// Re-read after any access to the same address in the
-					// segment: first-access tests see timestamps already at
-					// the current count — a complete no-op.
-					elided = true
-					break
-				}
-			}
-		}
-	}
-	w.fe.Elide[pc] = elided
-	if !elided {
-		w.subMemOps++
+	if write && e.known {
+		w.checkDeadStore(pc, e)
 	}
 	w.sub.Accesses = append(w.sub.Accesses, Access{
-		PC:     pc,
-		Write:  write,
-		Expr:   w.pe.render(e),
-		Elided: elided,
+		PC:    pc,
+		Write: write,
+		Expr:  w.pe.render(e),
 	})
 	w.seen = append(w.seen, segAcc{pc: pc, expr: e, write: write})
+}
+
+// checkDeadStore finds the latest earlier write of the segment to the same
+// address as the write at pc. That store is dead (V007) unless some
+// possibly-aliasing read happened in between.
+func (w *walker) checkDeadStore(pc int, e addrExpr) {
+	for i := len(w.seen) - 1; i >= 0; i-- {
+		if s := w.seen[i]; !s.write || !s.expr.equal(e) {
+			continue
+		}
+		for _, r := range w.seen[i+1:] {
+			if !r.write && !r.expr.disjoint(e) {
+				return
+			}
+		}
+		w.fe.deadStores = append(w.fe.deadStores, deadStore{
+			pc:          w.seen[i].pc,
+			overwritePC: pc,
+			expr:        w.pe.render(e),
+		})
+		return
+	}
 }
 
 // render formats a symbolic address, resolving constant parts to global
@@ -599,26 +524,14 @@ func (pe *ProgramEffects) Report() string {
 
 func (fe *FuncEffects) write(sb *strings.Builder) {
 	steps := 0
-	var elided, agg int
-	for _, e := range fe.Elide {
-		if e {
-			elided++
-		}
-	}
 	for _, b := range fe.Blocks {
 		steps += b.Steps
-		for _, s := range b.Subs {
-			if s.Class == vm.ClassAggregate {
-				agg++
-			}
-		}
 	}
-	fmt.Fprintf(sb, "fn %s (blocks=%d steps=%d elide=%d aggregate=%d)\n",
-		fe.Fn.Name, len(fe.Blocks), steps, elided, agg)
+	fmt.Fprintf(sb, "fn %s (blocks=%d steps=%d)\n", fe.Fn.Name, len(fe.Blocks), steps)
 	for _, b := range fe.Blocks {
 		fmt.Fprintf(sb, "  b%d pc[%d,%d) steps=%d\n", b.Index, b.Start, b.End, b.Steps)
 		for _, s := range b.Subs {
-			fmt.Fprintf(sb, "    [%d,%d) %s\n", s.Start, s.End, s.Class)
+			fmt.Fprintf(sb, "    [%d,%d)\n", s.Start, s.End)
 			for _, a := range s.Accesses {
 				if a.Sys {
 					// Tagged by opcode: sysread (SR) fills the range — a
@@ -634,11 +547,7 @@ func (fe *FuncEffects) write(sb *strings.Builder) {
 				if a.Write {
 					tag = "W"
 				}
-				suffix := ""
-				if a.Elided {
-					suffix = "  [elided]"
-				}
-				fmt.Fprintf(sb, "      %-2s %s%s\n", tag, a.Expr, suffix)
+				fmt.Fprintf(sb, "      %-2s %s\n", tag, a.Expr)
 			}
 		}
 	}

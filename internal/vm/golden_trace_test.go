@@ -19,15 +19,13 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenTraceModes are the interpreter configurations whose raw output the
-// golden file pins: the default run, the finest interleaving, and
-// redundancy suppression.
+// golden file pins: the default run and the finest interleaving.
 var goldenTraceModes = []struct {
 	name string
 	opts vm.Options
 }{
 	{"default", vm.Options{}},
 	{"quantum1", vm.Options{Quantum: 1}},
-	{"suppress", vm.Options{Suppress: true}},
 }
 
 // goldenTracePrograms returns the VM workloads and the testdata corpus,
@@ -54,7 +52,7 @@ func goldenTracePrograms(t *testing.T) map[string]string {
 
 // goldenTraceLine summarizes one run: the sha256 of the trace's APT2
 // encoding, the step, block and thread counts, and the sha256 of the
-// program output (plus the suppression counters when suppressing).
+// program output.
 func goldenTraceLine(t *testing.T, name, mode string, src string, opts vm.Options) string {
 	t.Helper()
 	res, err := vm.RunSource(src, opts)
@@ -66,15 +64,9 @@ func goldenTraceLine(t *testing.T, name, mode string, src string, opts vm.Option
 		t.Fatalf("%s %s: encode: %v", name, mode, err)
 	}
 	out := sha256.Sum256([]byte(strings.Join(res.Output, "\n")))
-	line := fmt.Sprintf("%s %s apt2=%x events=%d steps=%d blocks=%d threads=%d output=%d:%x",
+	return fmt.Sprintf("%s %s apt2=%x events=%d steps=%d blocks=%d threads=%d output=%d:%x",
 		name, mode, sha256.Sum256(enc.Bytes()), len(res.Trace.Events),
 		res.Steps, res.BasicBlocks, res.Threads, len(res.Output), out[:8])
-	if s := res.Suppress; s != nil {
-		line += fmt.Sprintf(" suppress=%d/%d/%d/%d/%d/%d/%d/%d", s.MemOps, s.ElidedStatic,
-			s.ElidedDynamic, s.Coalesced, s.BlocksAggregated, s.BlocksDirect,
-			s.BlocksBailedSys, s.Overflows)
-	}
-	return line
 }
 
 // TestGoldenTraces pins the interpreter's raw output byte for byte: the

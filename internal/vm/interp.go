@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"aprof/internal/obs"
 	"aprof/internal/trace"
 )
 
@@ -30,17 +29,6 @@ type Options struct {
 	// basic-block cost metric — like compiling the profiled application
 	// with optimizations — but never the traced memory events.
 	Optimize bool
-	// Suppress enables instrumentation redundancy suppression: per-block
-	// memory accesses proven redundant under the profiler's first-access
-	// semantics are elided, and aggregable blocks emit one deduplicated
-	// batch of events instead of per-instruction Read1/Write1 calls. The
-	// resulting trace is smaller but produces byte-identical profiler
-	// output. Requires an installed effect planner (importing
-	// aprof/internal/vm/analysis installs one); RunProgram fails otherwise.
-	Suppress bool
-	// Obs, when non-nil and Suppress is set, receives the run's suppression
-	// counters under the "vm" scope (see ObsScopeVM).
-	Obs *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -69,9 +57,6 @@ type Result struct {
 	BasicBlocks uint64
 	// Threads is the number of threads the program ran (including main).
 	Threads int
-	// Suppress holds the suppression counters of the run; nil unless
-	// Options.Suppress was set.
-	Suppress *SuppressStats
 }
 
 // RuntimeError is an execution error with source context.
@@ -110,18 +95,6 @@ type vmThread struct {
 	done    bool
 	// blockedOn is the semaphore id the thread is waiting on, or -1.
 	blockedOn int
-	// supOn reports whether the current basic block buffers its memory
-	// accesses (ClassAggregate); supBuf holds the pending accesses of the
-	// block, flushed at the next block leader or barrier instruction.
-	supOn  bool
-	supBuf []supAccess
-}
-
-// supAccess is one buffered (possibly multi-cell) memory access.
-type supAccess struct {
-	addr  int64
-	size  uint32
-	write bool
 }
 
 // vmFrame is one activation record.
@@ -130,8 +103,6 @@ type vmFrame struct {
 	pc     int
 	locals []int64
 	stack  []int64
-	// eff is the function's suppression plan; nil when not suppressing.
-	eff *PlanFunc
 }
 
 // semaphore is a counting semaphore with a FIFO wait queue.
@@ -155,10 +126,6 @@ type interp struct {
 	extSeq  int64
 	randSt  uint64
 	nextID  trace.ThreadID
-	// plan is the suppression plan; nil when Options.Suppress is off (the
-	// default), keeping the tracing hot path untouched.
-	plan  *EffectPlan
-	stats SuppressStats
 }
 
 const maxCallDepth = 4096
@@ -179,15 +146,6 @@ func RunProgram(cp *CompiledProgram, opts Options) (*Result, error) {
 	for _, init := range cp.GlobalInit {
 		in.heap[init[0]] = init[1]
 	}
-	if opts.Suppress {
-		// The plan is computed here, on the final bytecode (after any
-		// optimization), so Elide/Class indices always match what executes.
-		plan, err := planProgram(cp)
-		if err != nil {
-			return nil, err
-		}
-		in.plan = plan
-	}
 
 	main := in.spawnThread(cp.FuncByName["main"], nil)
 	_ = main
@@ -198,47 +156,20 @@ func RunProgram(cp *CompiledProgram, opts Options) (*Result, error) {
 	for _, t := range in.threads {
 		totalBB += t.bb
 	}
-	res := &Result{
+	return &Result{
 		Trace:       in.builder.Trace(),
 		Output:      in.output,
 		Steps:       in.steps,
 		BasicBlocks: totalBB,
 		Threads:     len(in.threads),
-	}
-	if opts.Suppress {
-		stats := in.stats
-		res.Suppress = &stats
-		publishSuppressObs(opts.Obs, stats)
-	}
-	return res, nil
-}
-
-// ObsScopeVM is the obs scope carrying the interpreter's suppression
-// counters: suppress_mem_ops, suppress_elided_static, suppress_elided_dynamic,
-// suppress_coalesced, suppress_blocks_{aggregated,direct,bail_sys}, and
-// suppress_overflows.
-const ObsScopeVM = "vm"
-
-func publishSuppressObs(reg *obs.Registry, s SuppressStats) {
-	if reg == nil {
-		return
-	}
-	sc := reg.Scope(ObsScopeVM)
-	sc.Counter("suppress_mem_ops").Add(s.MemOps)
-	sc.Counter("suppress_elided_static").Add(s.ElidedStatic)
-	sc.Counter("suppress_elided_dynamic").Add(s.ElidedDynamic)
-	sc.Counter("suppress_coalesced").Add(s.Coalesced)
-	sc.Counter("suppress_blocks_aggregated").Add(s.BlocksAggregated)
-	sc.Counter("suppress_blocks_direct").Add(s.BlocksDirect)
-	sc.Counter("suppress_blocks_bail_sys").Add(s.BlocksBailedSys)
-	sc.Counter("suppress_overflows").Add(s.Overflows)
+	}, nil
 }
 
 // spawnThread creates a thread whose root activation runs funcs[fnIdx] with
 // the given arguments.
 func (in *interp) spawnThread(fnIdx int, args []int64) *vmThread {
 	fn := in.cp.Funcs[fnIdx]
-	fr := &vmFrame{fn: fn, locals: make([]int64, fn.NumLocals), eff: in.planFor(fnIdx)}
+	fr := &vmFrame{fn: fn, locals: make([]int64, fn.NumLocals)}
 	copy(fr.locals, args)
 	t := &vmThread{
 		id:        in.nextID,
@@ -290,7 +221,6 @@ func (in *interp) runSlice(t *vmThread) error {
 		tb.SetCost(t.bb)
 		tb.Call(t.frames[0].fn.Name)
 	}
-	sup := in.plan != nil
 	consts := in.cp.Constants
 	heap, heapEnd := in.heap, in.heapEnd
 	steps, maxSteps := in.steps, in.opts.MaxSteps
@@ -302,21 +232,11 @@ func (in *interp) runSlice(t *vmThread) error {
 run:
 	for {
 		if lead[pc] {
-			if sup {
-				// Flush before the block counter advances so the buffered
-				// events carry the cost of the block they happened in, and
-				// before the quantum check so no buffered access can cross a
-				// thread switch.
-				in.supFlush(t)
-			}
 			if blocks >= quantum {
 				break run // switch threads at the block boundary
 			}
 			blocks++
 			t.bb++
-			if sup {
-				in.supEnter(t, fr.eff, pc)
-			}
 		}
 		if steps >= maxSteps {
 			err = &RuntimeError{Func: fr.fn.Name, Line: int(code[pc].Line), Msg: "step limit exceeded (infinite loop?)"}
@@ -340,12 +260,8 @@ run:
 				err = in.memErr(fr, ins, addr, 1)
 				break run
 			}
-			if sup {
-				in.supMem(t, fr.eff, pc-1, addr, false)
-			} else {
-				tb.SetCost(t.bb)
-				tb.Read1(trace.Addr(addr))
-			}
+			tb.SetCost(t.bb)
+			tb.Read1(trace.Addr(addr))
 			st[top] = heap[addr]
 		case OpStoreMem:
 			addr := st[top-1]
@@ -353,12 +269,8 @@ run:
 				err = in.memErr(fr, ins, addr, 1)
 				break run
 			}
-			if sup {
-				in.supMem(t, fr.eff, pc-1, addr, true)
-			} else {
-				tb.SetCost(t.bb)
-				tb.Write1(trace.Addr(addr))
-			}
+			tb.SetCost(t.bb)
+			tb.Write1(trace.Addr(addr))
 			heap[addr] = st[top]
 			st = st[:top-1]
 		case OpAdd:
@@ -426,16 +338,10 @@ run:
 				break run
 			}
 			callee := in.cp.Funcs[ins.A]
-			nf := &vmFrame{fn: callee, locals: make([]int64, callee.NumLocals), eff: in.planFor(int(ins.A))}
+			nf := &vmFrame{fn: callee, locals: make([]int64, callee.NumLocals)}
 			args := len(st) - int(ins.B)
 			copy(nf.locals, st[args:])
 			st = st[:args]
-			if sup {
-				// The call event ticks the profiler counter and pushes a
-				// shadow frame: buffered accesses of this block must
-				// precede it.
-				in.supFlush(t)
-			}
 			tb.SetCost(t.bb)
 			tb.Call(callee.Name)
 			fr.pc, fr.stack = pc, st
@@ -444,9 +350,6 @@ run:
 			code, lead, locals, st, pc = fr.fn.Code, fr.fn.BlockStart, fr.locals, fr.stack, fr.pc
 		case OpReturn:
 			ret := st[top]
-			if sup {
-				in.supFlush(t)
-			}
 			tb.SetCost(t.bb)
 			tb.Ret()
 			t.frames = t.frames[:len(t.frames)-1]
@@ -521,104 +424,6 @@ run:
 	return err
 }
 
-// planFor returns the suppression plan of funcs[idx], or nil when off.
-func (in *interp) planFor(idx int) *PlanFunc {
-	if in.plan == nil {
-		return nil
-	}
-	return &in.plan.Funcs[idx]
-}
-
-// supEnter classifies the block led by pc under plan eff: aggregable
-// blocks start buffering, everything else is traced directly. Called right
-// after the block-entry bookkeeping, with the previous block's buffer
-// already flushed.
-func (in *interp) supEnter(t *vmThread, eff *PlanFunc, pc int) {
-	switch eff.Class[pc] {
-	case ClassAggregate:
-		t.supOn = true
-		in.stats.BlocksAggregated++
-	case ClassBailSys:
-		t.supOn = false
-		in.stats.BlocksBailedSys++
-	default:
-		t.supOn = false
-		in.stats.BlocksDirect++
-	}
-}
-
-// supBufMax bounds the per-block access buffer. A block with more distinct
-// accesses flushes early and keeps buffering — emitting events a redundancy
-// check might later have covered is exactly what full instrumentation does,
-// so an overflow costs compactness, never correctness.
-const supBufMax = 64
-
-// supFlush emits the buffered accesses of t's current block, in first-access
-// order, at the thread's current cost.
-func (in *interp) supFlush(t *vmThread) {
-	if len(t.supBuf) == 0 {
-		return
-	}
-	t.tb.SetCost(t.bb)
-	for _, e := range t.supBuf {
-		if e.write {
-			t.tb.Write(trace.Addr(e.addr), e.size)
-		} else {
-			t.tb.Read(trace.Addr(e.addr), e.size)
-		}
-	}
-	t.supBuf = t.supBuf[:0]
-}
-
-// supMem traces one memory access under the suppression plan: statically
-// elided accesses emit nothing; accesses in aggregable blocks are buffered,
-// deduplicated against the block's earlier accesses, and coalesced with a
-// directly preceding contiguous same-kind access; everything else is traced
-// as usual.
-//
-// The dedup rules mirror the profiler's first-access semantics within one
-// scheduling-atomic block (one counter value, one stack top): a re-read of
-// an address already accessed in the block is a complete no-op, as is a
-// re-write of an address already written; a write after only reads still
-// matters (it updates the global write shadow) and is kept.
-func (in *interp) supMem(t *vmThread, eff *PlanFunc, pc int, addr int64, write bool) {
-	in.stats.MemOps++
-	if eff.Elide[pc] {
-		in.stats.ElidedStatic++
-		return
-	}
-	if !t.supOn {
-		t.tb.SetCost(t.bb)
-		if write {
-			t.tb.Write1(trace.Addr(addr))
-		} else {
-			t.tb.Read1(trace.Addr(addr))
-		}
-		return
-	}
-	for i := range t.supBuf {
-		e := &t.supBuf[i]
-		if addr >= e.addr && addr < e.addr+int64(e.size) && (e.write || !write) {
-			// Covered: any earlier access elides a read; an earlier write
-			// elides a write.
-			in.stats.ElidedDynamic++
-			return
-		}
-	}
-	if n := len(t.supBuf); n > 0 {
-		if e := &t.supBuf[n-1]; e.write == write && addr == e.addr+int64(e.size) {
-			e.size++
-			in.stats.Coalesced++
-			return
-		}
-	}
-	if len(t.supBuf) >= supBufMax {
-		in.supFlush(t)
-		in.stats.Overflows++
-	}
-	t.supBuf = append(t.supBuf, supAccess{addr: addr, size: 1, write: write})
-}
-
 func (in *interp) rtErr(fr *vmFrame, ins *Instr, format string, args ...any) error {
 	return &RuntimeError{Func: fr.fn.Name, Line: int(ins.Line), Msg: fmt.Sprintf(format, args...)}
 }
@@ -670,11 +475,6 @@ func (in *interp) semWait(t *vmThread, fr *vmFrame, ins *Instr, id int64) (bool,
 		return false, in.rtErr(fr, ins, "wait on invalid semaphore %d", id)
 	}
 	s := in.sems[id]
-	if in.plan != nil {
-		// Both outcomes leave this block: flush before the acquire event
-		// or before other threads run while we are blocked.
-		in.supFlush(t)
-	}
 	if s.value > 0 {
 		s.value--
 		t.tb.SetCost(t.bb)
@@ -693,9 +493,6 @@ func (in *interp) semSignal(t *vmThread, fr *vmFrame, ins *Instr, id int64) erro
 		return in.rtErr(fr, ins, "signal on invalid semaphore %d", id)
 	}
 	s := in.sems[id]
-	if in.plan != nil {
-		in.supFlush(t)
-	}
 	t.tb.SetCost(t.bb)
 	t.tb.Release(trace.Addr(id))
 	if len(s.waiters) == 0 {
@@ -724,9 +521,6 @@ func (in *interp) sysRead(t *vmThread, fr *vmFrame, ins *Instr, base, n int64) e
 	if n == 0 {
 		return nil
 	}
-	if in.plan != nil {
-		in.supFlush(t)
-	}
 	t.tb.SetCost(t.bb)
 	t.tb.SysRead(trace.Addr(base), uint32(n))
 	for i := int64(0); i < n; i++ {
@@ -743,9 +537,6 @@ func (in *interp) sysWrite(t *vmThread, fr *vmFrame, ins *Instr, base, n int64) 
 	}
 	if n == 0 {
 		return nil
-	}
-	if in.plan != nil {
-		in.supFlush(t)
 	}
 	t.tb.SetCost(t.bb)
 	t.tb.SysWrite(trace.Addr(base), uint32(n))

@@ -197,10 +197,9 @@ fn main() {
 		{
 			// A single-threaded unrolled stencil pass: each smooth() body is
 			// one straight-line basic block whose neighboring reads overlap
-			// and whose result cells are re-read for the checksum — the
-			// workload shape where instrumentation redundancy suppression
-			// (vm.Options.Suppress) elides the most events. No threads, no
-			// I/O: drms equals rms here (DynamicFactor 1).
+			// and whose result cells are re-read for the checksum, so many
+			// of its accesses repeat an address within one block. No
+			// threads, no I/O: drms equals rms here (DynamicFactor 1).
 			Name: "stencil",
 			Source: `
 global grid[72];
