@@ -93,8 +93,9 @@ chaos-replica:
 # detector: decoder fuzz smoke over the committed corpora, the
 # kill-at-every-step crash-consistency sweeps (every backend op, every
 # crash mode, plus the GC-focused sweep), the random-ops differential
-# test against the model store, the dedup-economics assertion, and the
-# killed-write result-file regression.
+# test against the model store, the whole-document dedup assertion
+# (identical profiles stored once), and the killed-write result-file
+# regression.
 store-torture:
 	$(GO) test -race -timeout 90s -count=1 ./internal/repo/... ./internal/faultio
 	$(GO) test -race -timeout 90s -count=1 -run 'TestStore' ./internal/server ./cmd/aprofd

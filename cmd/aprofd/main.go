@@ -17,9 +17,9 @@
 // exit — so a restarted daemon loses nothing. A second signal aborts hard.
 //
 // With -store, completed profiles are persisted into a content-addressed
-// profile repository (chunked, deduplicated, checksummed, crash-safe) and
-// /profiles/ serves sessions from it across restarts. Manage the store
-// with the aprofstore command.
+// profile repository (one SHA-256-addressed blob per profile, checksummed,
+// crash-safe) and /profiles/ serves sessions from it across restarts.
+// Manage the store with the aprofstore command.
 //
 // As a cluster member, -cluster-peers lists the other nodes' debug HTTP
 // addresses: /profiles/ then serves the merged cluster-wide view instead

@@ -12,7 +12,8 @@
 //
 // check re-reads everything from disk and trusts nothing cached: framing,
 // header CRCs, every blob's CRC-32 and SHA-256, and that every referenced
-// manifest and chunk is servable. Warnings (quarantined wreckage, stale
+// profile is servable. A store of another version is refused by every
+// command with an error naming both versions. Warnings (quarantined wreckage, stale
 // index caches) do not fail it; a lost or unservable referenced blob does.
 package main
 
@@ -135,7 +136,7 @@ func runStats(r *repo.Repository) error {
 	fmt.Printf("sessions:       %d\n", s.Sessions)
 	fmt.Printf("snapshots:      %d\n", s.Snapshots)
 	fmt.Printf("packs:          %d\n", s.Packs)
-	fmt.Printf("blobs:          %d (%d chunks, %d manifests)\n", s.Blobs, s.Chunks, s.Manifests)
+	fmt.Printf("blobs:          %d (%d referenced profiles)\n", s.Blobs, s.Profiles)
 	fmt.Printf("stored bytes:   %d\n", s.StoredBytes)
 	fmt.Printf("live bytes:     %d\n", s.LiveBytes)
 	fmt.Printf("dead bytes:     %d (reclaimable by gc)\n", s.DeadBytes)

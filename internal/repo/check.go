@@ -34,16 +34,16 @@ func (c *CheckReport) warnf(format string, args ...any) {
 // Check verifies the whole store from the backend up, trusting nothing
 // in memory: it re-reads and fully verifies every pack (framing, header
 // CRC, every blob's CRC-32 and SHA-256), re-reads every snapshot, and
-// proves every referenced manifest and chunk is servable from a verified
-// pack. The in-memory index is not consulted — Check is what the crash
-// sweep runs against a freshly killed store.
+// proves every referenced profile is servable from a verified pack. The
+// in-memory index is not consulted — Check is what the crash sweep runs
+// against a freshly killed store.
 func (r *Repository) Check() *CheckReport {
 	r.lockWrite() // no write in flight: Check reads the backend, not the state
 	defer r.unlockWrite()
 	report := &CheckReport{}
 
 	// Verify every pack and build an independent blob map.
-	verified := make(map[ID]BlobType)
+	verified := make(map[ID]struct{})
 	packNames, err := r.be.List(backend.PackType)
 	if err != nil {
 		report.errorf("listing packs: %v", err)
@@ -69,7 +69,7 @@ func (r *Repository) Check() *CheckReport {
 		}
 		report.Packs++
 		for _, b := range blobs {
-			verified[b.ID] = b.Type
+			verified[b.ID] = struct{}{}
 			report.Blobs++
 		}
 	}
@@ -98,50 +98,18 @@ func (r *Repository) Check() *CheckReport {
 			continue
 		}
 		report.Snapshots++
-		checkManifest := func(sid string, mid ID) {
-			typ, ok := verified[mid]
-			if !ok {
-				report.errorf("snapshot %s session %q: manifest %s missing", short(name), sid, mid.Short())
+		checkProfile := func(sid string, mid ID) {
+			if _, ok := verified[mid]; !ok {
+				report.errorf("snapshot %s session %q: profile %s missing", short(name), sid, mid.Short())
 				return
 			}
-			if typ != BlobManifest {
-				report.errorf("snapshot %s session %q: blob %s is a %s, not a manifest", short(name), sid, mid.Short(), typ)
-				return
-			}
-			mdata, err := r.loadVerifiedBlob(mid)
-			if err != nil {
-				report.errorf("snapshot %s session %q: manifest %s: %v", short(name), sid, mid.Short(), err)
-				return
-			}
-			size, chunks, merr := decodeManifest(mdata)
-			if merr != nil {
-				report.errorf("snapshot %s session %q: manifest %s: %v", short(name), sid, mid.Short(), merr)
-				return
-			}
-			total := 0
-			broken := false
-			for _, cid := range chunks {
-				typ, ok := verified[cid]
-				if !ok || typ != BlobChunk {
-					report.errorf("session %q: chunk %s missing or mistyped", sid, cid.Short())
-					broken = true
-					continue
-				}
-				cdata, err := r.loadVerifiedBlob(cid)
-				if err != nil {
-					report.errorf("session %q: chunk %s: %v", sid, cid.Short(), err)
-					broken = true
-					continue
-				}
-				total += len(cdata)
-			}
-			if !broken && total != size {
-				report.errorf("session %q: chunks total %d bytes, manifest says %d", sid, total, size)
+			if _, err := r.loadVerifiedBlob(mid); err != nil {
+				report.errorf("snapshot %s session %q: profile %s: %v", short(name), sid, mid.Short(), err)
 			}
 		}
 		for sid, mid := range doc.sessions {
 			sessions[sid] = struct{}{}
-			checkManifest(sid, mid)
+			checkProfile(sid, mid)
 			// Retained history versions are roots too: a retention policy
 			// promised they stay servable until it trims them.
 			for _, he := range doc.history[sid] {
@@ -150,7 +118,7 @@ func (r *Repository) Check() *CheckReport {
 					report.errorf("snapshot %s history of %q: %v", short(name), sid, perr)
 					continue
 				}
-				checkManifest(sid, hid)
+				checkProfile(sid, hid)
 			}
 		}
 	}
@@ -228,10 +196,11 @@ func (r *Repository) scanForBlob(id ID) ([]byte, error) {
 
 // StatsReport summarizes the store's population and dedup effectiveness.
 type StatsReport struct {
-	Packs        int
-	Blobs        int
-	Chunks       int
-	Manifests    int
+	Packs int
+	Blobs int
+	// Profiles counts the distinct profile documents a root references,
+	// heads and retained history alike.
+	Profiles     int
 	Snapshots    int
 	Sessions     int
 	StoredBytes  int64 // sum of indexed blob sizes
@@ -262,28 +231,19 @@ func (r *Repository) Stats() (StatsReport, error) {
 	for _, e := range r.ix.blobs {
 		s.Blobs++
 		s.StoredBytes += int64(e.length)
-		switch e.typ {
-		case BlobChunk:
-			s.Chunks++
-		case BlobManifest:
-			s.Manifests++
-		}
 	}
 	live, err := r.markLiveLocked()
 	if err != nil {
 		return s, err
 	}
+	s.Profiles = len(live)
 	s.LiveBytes, s.DeadBytes = r.updateByteGauges(live)
 	for sid, mid := range r.sessions {
-		mdata, err := r.loadBlobLocked(mid, BlobManifest)
+		data, err := r.loadBlobLocked(mid)
 		if err != nil {
 			return s, fmt.Errorf("session %q: %w", sid, err)
 		}
-		size, _, err := decodeManifest(mdata)
-		if err != nil {
-			return s, fmt.Errorf("session %q: %w", sid, err)
-		}
-		s.LogicalBytes += int64(size)
+		s.LogicalBytes += int64(len(data))
 	}
 	return s, nil
 }

@@ -10,9 +10,10 @@ import (
 func fuzzSeedPacks() [][]byte {
 	var seeds [][]byte
 	small := []byte("hello, profile store")
+	doc := []byte(`{"schema":1,"routines":[]}`)
 	blobs := []Blob{
-		{Type: BlobChunk, ID: IDOf(small), Data: small},
-		{Type: BlobManifest, ID: IDOf([]byte(`{"size":0,"chunks":[]}`)), Data: []byte(`{"size":0,"chunks":[]}`)},
+		{Type: BlobProfile, ID: IDOf(small), Data: small},
+		{Type: BlobProfile, ID: IDOf(doc), Data: doc},
 	}
 	valid := EncodePack(blobs)
 	seeds = append(seeds, valid)
@@ -25,6 +26,9 @@ func fuzzSeedPacks() [][]byte {
 		mut[pos] ^= 0x40
 		seeds = append(seeds, mut)
 	}
+	// A well-framed pack holding a version-1 chunk (type 1), which the
+	// decoder must refuse.
+	seeds = append(seeds, EncodePack([]Blob{{Type: 1, ID: IDOf(small), Data: small}}))
 	return seeds
 }
 
@@ -61,11 +65,11 @@ func fuzzSeedIndexes() [][]byte {
 	var seeds [][]byte
 	packs := []IndexPack{
 		{Name: "0b1", Blobs: []IndexBlob{
-			{Type: BlobChunk, ID: IDOf([]byte("a")), Offset: 4, Length: 10},
-			{Type: BlobManifest, ID: IDOf([]byte("b")), Offset: 14, Length: 20},
+			{Type: BlobProfile, ID: IDOf([]byte("a")), Offset: 4, Length: 10},
+			{Type: BlobProfile, ID: IDOf([]byte("b")), Offset: 14, Length: 20},
 		}},
 		{Name: "ff2", Blobs: []IndexBlob{
-			{Type: BlobChunk, ID: IDOf([]byte("c")), Offset: 4, Length: 1},
+			{Type: BlobProfile, ID: IDOf([]byte("c")), Offset: 4, Length: 1},
 		}},
 	}
 	valid := EncodeIndex(packs)

@@ -209,7 +209,7 @@ func (r *Repository) GCWithPolicy(policy RetentionPolicy) (GCStats, error) {
 		return nil
 	}
 	for _, b := range moved {
-		data, err := r.loadBlobLocked(b.ID, b.Type)
+		data, err := r.loadBlobLocked(b.ID)
 		if err != nil {
 			return stats, fmt.Errorf("repo: gc repack of %s (pack %s): %w", b.ID.Short(), movedFrom[b.ID][:8], err)
 		}

@@ -44,26 +44,14 @@ const (
 // BlobType tags what a blob holds.
 type BlobType uint8
 
-const (
-	// BlobChunk is a content-defined chunk of a profile document.
-	BlobChunk BlobType = 1
-	// BlobManifest is a manifest document: the chunk list that
-	// reassembles one profile (see manifest.go).
-	BlobManifest BlobType = 2
-)
+// BlobProfile is a whole profile document, addressed by the SHA-256 of
+// its bytes. It is the only type this version reads or writes: types 1
+// and 2 were the chunks and manifests of version-1 stores, and a pack
+// holding them fails to decode, so an old chunk is never served as a
+// profile.
+const BlobProfile BlobType = 3
 
-func (t BlobType) valid() bool { return t == BlobChunk || t == BlobManifest }
-
-func (t BlobType) String() string {
-	switch t {
-	case BlobChunk:
-		return "chunk"
-	case BlobManifest:
-		return "manifest"
-	default:
-		return fmt.Sprintf("blobtype(%d)", uint8(t))
-	}
-}
+func (t BlobType) valid() bool { return t == BlobProfile }
 
 // ID is a blob's content address: the SHA-256 of its bytes.
 type ID [32]byte

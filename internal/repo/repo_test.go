@@ -56,25 +56,16 @@ func syntheticProfile(seed int64, size int) []byte {
 	return []byte(sb.String())
 }
 
-// mutateProfile flips a small region of a profile copy — the
-// "near-identical profile of the same routine" the dedup story is about.
-func mutateProfile(base []byte, seed int64) []byte {
-	out := append([]byte(nil), base...)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 3; i++ {
-		pos := rng.Intn(len(out))
-		out[pos] = byte('0' + rng.Intn(10))
-	}
-	return out
-}
-
 func TestPutGetRoundTrip(t *testing.T) {
 	r, _ := openTestRepo(t)
-	for _, size := range []int{0, 1, 100, chunkMin, chunkMax + 1, 64 << 10} {
+	for _, size := range []int{0, 1, 100, 512, 8193, 64 << 10} {
 		data := syntheticProfile(int64(size), size)
 		id, err := r.Put(data)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
+		}
+		if id != IDOf(data) {
+			t.Fatalf("size %d: Put returned %s, want the document's SHA-256 %s", size, id.Short(), IDOf(data).Short())
 		}
 		got, err := r.Get(id)
 		if err != nil {
@@ -83,6 +74,37 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("size %d: round-trip mismatch (%d bytes in, %d out)", size, len(data), len(got))
 		}
+	}
+}
+
+// TestReadsReturnCopies: a read hands out its own copy, never the staged
+// blob or the cached pack it was read from, so a caller that changes the
+// bytes changes nothing the store serves next.
+func TestReadsReturnCopies(t *testing.T) {
+	r, _ := openTestRepo(t)
+	data := syntheticProfile(5, 16<<10)
+	id, err := r.Put(data) // staged, not yet flushed
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Get(id); err != nil {
+		t.Fatal(err)
+	} else {
+		got[0] ^= 0xff
+	}
+	if err := r.SaveProfile("s", data); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second read comes from the pack cache
+		got, err := r.GetSession("s")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read %d: %d bytes, %v; want the saved profile", i, len(got), err)
+		}
+		got[0] ^= 0xff
+	}
+	got, err := r.GetVersion("s", id)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("GetVersion after changed reads: %d bytes, %v", len(got), err)
 	}
 }
 
@@ -210,10 +232,10 @@ func TestReadsDoNotWaitForSaveWrites(t *testing.T) {
 		}
 		checkBefore(string(want))
 		if want == backend.PackType {
-			// The staged blobs stay readable until their pack is indexed.
-			read("Get of a staged manifest", func() {
-				if got, err := r.Get(splitDocument(b).mid); err != nil || !bytes.Equal(got, b) {
-					t.Errorf("staged manifest: Get = %d bytes, %v; want the profile being saved", len(got), err)
+			// The staged blob stays readable until its pack is indexed.
+			read("Get of a staged profile", func() {
+				if got, err := r.Get(IDOf(b)); err != nil || !bytes.Equal(got, b) {
+					t.Errorf("staged profile: Get = %d bytes, %v; want the profile being saved", len(got), err)
 				}
 			})
 		}
@@ -380,7 +402,7 @@ func TestObsCountersMove(t *testing.T) {
 	if err := r.SaveProfile("a", data); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SaveProfile("b", mutateProfile(data, 1)); err != nil {
+	if err := r.SaveProfile("b", data); err != nil { // identical: one blob serves both
 		t.Fatal(err)
 	}
 	if _, err := r.GC(); err != nil {
@@ -401,69 +423,28 @@ func TestObsCountersMove(t *testing.T) {
 		t.Fatalf("counter %s not in snapshot", name)
 		return 0
 	}
-	if find("blobs_written") == 0 {
-		t.Error("blobs_written did not move")
+	if got := find("blobs_written"); got != 1 {
+		t.Errorf("blobs_written = %d, want 1", got)
 	}
-	if find("blobs_deduped") == 0 {
-		t.Error("blobs_deduped did not move for a near-identical save")
+	if got := find("bytes_written"); got != uint64(len(data)) {
+		t.Errorf("bytes_written = %d, want %d", got, len(data))
+	}
+	if got := find("blobs_deduped"); got != 1 {
+		t.Errorf("blobs_deduped = %d after an identical save, want 1", got)
+	}
+	if got := find("bytes_deduped"); got != uint64(len(data)) {
+		t.Errorf("bytes_deduped = %d after an identical save, want %d", got, len(data))
 	}
 	if find("gc_runs") != 1 {
 		t.Error("gc_runs != 1")
 	}
 }
 
-func TestChunkerSplitsAndRejoins(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		data := syntheticProfile(seed, 100<<10)
-		chunks := chunkData(data)
-		var total int
-		var rejoined []byte
-		for _, c := range chunks {
-			if len(c) == 0 {
-				t.Fatal("empty chunk")
-			}
-			if len(c) > chunkMax {
-				t.Fatalf("chunk of %d bytes exceeds max %d", len(c), chunkMax)
-			}
-			total += len(c)
-			rejoined = append(rejoined, c...)
-		}
-		if !bytes.Equal(rejoined, data) {
-			t.Fatalf("seed %d: chunks do not rejoin to input", seed)
-		}
-		if len(chunks) < 2 {
-			t.Fatalf("seed %d: %d bytes produced only %d chunks", seed, len(data), len(chunks))
-		}
-		_ = total
-	}
-}
-
-// TestChunkerRealigns is the core dedup property: a small edit near the
-// front must not re-chunk the whole document.
-func TestChunkerRealigns(t *testing.T) {
-	base := syntheticProfile(3, 100<<10)
-	edited := append([]byte(`{"prefix":"inserted"}`), base...)
-	baseIDs := make(map[ID]struct{})
-	for _, c := range chunkData(base) {
-		baseIDs[IDOf(c)] = struct{}{}
-	}
-	shared := 0
-	chunks := chunkData(edited)
-	for _, c := range chunks {
-		if _, ok := baseIDs[IDOf(c)]; ok {
-			shared++
-		}
-	}
-	if shared < len(chunks)*3/4 {
-		t.Fatalf("only %d/%d chunks shared after a front insertion", shared, len(chunks))
-	}
-}
-
 // TestPackCountGaugeTracksIndex: the pack_count gauge, kept from the
 // index's per-pack blob counts, equals the number of distinct packs the
-// index's blobs reference, and the packs the backend holds, after saves,
-// a re-save, a GC that repacks, and reopens from the index cache and from
-// a pack scan.
+// index's blobs reference, and the packs the backend holds, after puts
+// flushed into one pack, saves, a re-save, a GC that repacks, and reopens
+// from the index cache and from a pack scan.
 func TestPackCountGaugeTracksIndex(t *testing.T) {
 	be, err := backend.OpenLocal(t.TempDir())
 	if err != nil {
@@ -494,14 +475,27 @@ func TestPackCountGaugeTracksIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := syntheticProfile(11, 48<<10)
+	// Three profiles put and flushed together share one pack; once the
+	// re-save of "a" leaves its first version dead, GC must repack the
+	// other two out of that pack.
+	docs := map[string][]byte{}
 	for i, sid := range []string{"a", "b", "c"} {
-		if err := r.SaveProfile(sid, mutateProfile(base, int64(i))); err != nil {
+		docs[sid] = syntheticProfile(int64(11+i), 48<<10)
+		if _, err := r.Put(docs[sid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(r, reg, "flush of three puts")
+	for _, sid := range []string{"a", "b", "c"} {
+		if err := r.SaveProfile(sid, docs[sid]); err != nil {
 			t.Fatal(err)
 		}
 		check(r, reg, "save "+sid)
 	}
-	if err := r.SaveProfile("a", mutateProfile(base, 9)); err != nil {
+	if err := r.SaveProfile("a", syntheticProfile(19, 48<<10)); err != nil {
 		t.Fatal(err)
 	}
 	check(r, reg, "re-save a")
@@ -546,7 +540,7 @@ func TestPackCountGaugeTracksIndex(t *testing.T) {
 // counting that pack even before it is dropped.
 func TestIndexPackCountFollowsBlobs(t *testing.T) {
 	ix := newIndex()
-	a, b := packEntry{typ: BlobChunk, id: IDOf([]byte("a"))}, packEntry{typ: BlobChunk, id: IDOf([]byte("b"))}
+	a, b := packEntry{typ: BlobProfile, id: IDOf([]byte("a"))}, packEntry{typ: BlobProfile, id: IDOf([]byte("b"))}
 	check := func(stage string, want ...string) {
 		t.Helper()
 		if got := ix.packNames(); fmt.Sprint(got) != fmt.Sprint(want) || len(ix.packs) != len(want) {

@@ -49,7 +49,12 @@ func (s SyncStats) String() string {
 // converges because content addressing makes every transfer repeatable.
 // Two nodes syncing from each other reach the same session view: the
 // merge rule (higher snapshot seq wins; ties break toward the
-// lexically greater manifest) is symmetric.
+// lexically greater profile ID) is symmetric, and each side keeps the
+// losing head in its history.
+//
+// The remote's config is read first, and a remote this code cannot read
+// (another store version, or no store at all) is refused with the error
+// Open gives, before any pack is pulled.
 //
 // A partition or remote loss mid-pull degrades, never corrupts: sessions
 // whose blobs could not all be fetched are skipped this round and retried
@@ -61,6 +66,9 @@ func (s SyncStats) String() string {
 // one-call operation.
 func (r *Repository) Sync(remote backend.Backend) (SyncStats, error) {
 	var stats SyncStats
+	if err := checkConfig(remote); err != nil {
+		return stats, fmt.Errorf("repo: sync: remote: %w", err)
+	}
 
 	// Phase A (locked, brief): flush staged blobs and snapshot the local
 	// have-sets. Concurrent saves during the network phases are safe: a
@@ -261,18 +269,22 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 			mid := doc.sessions[sid]
 			cur, exists := next[sid]
 			if exists && cur == mid {
-				r.syncMergeHistoryLocked(sid, doc, nextHistory)
+				r.syncMergeHistoryLocked(sid, mid, doc.history[sid], nextHistory)
 				continue
 			}
 			// Conflict rule, symmetric so both sides converge: higher root
-			// seq wins; on a tie the lexically greater manifest hex does.
+			// seq wins; on a tie the lexically greater profile hex does.
 			if exists {
 				ls, rs := localSeq[sid], doc.seq
 				if rs < ls || (rs == ls && mid.String() <= cur.String()) {
-					continue // ours wins; their head lands in history below
+					// Ours wins; their head joins our history, as ours
+					// joins theirs when they sync from us.
+					theirs := histEntry{Manifest: mid.String(), SavedAt: doc.savedAt[sid]}
+					r.syncMergeHistoryLocked(sid, cur, append([]histEntry{theirs}, doc.history[sid]...), nextHistory)
+					continue
 				}
 			}
-			if !r.syncResolvableLocked(mid) {
+			if !r.storedLocked(mid) {
 				stats.SessionsSkipped++
 				r.logf("repo: sync: session %q not yet resolvable locally, retrying next round", sid)
 				continue
@@ -293,7 +305,7 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 				delete(nextSavedAt, sid)
 			}
 			localSeq[sid] = doc.seq
-			r.syncMergeHistoryLocked(sid, doc, nextHistory)
+			r.syncMergeHistoryLocked(sid, mid, doc.history[sid], nextHistory)
 		}
 	}
 
@@ -313,15 +325,14 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 	return nil
 }
 
-// syncMergeHistoryLocked folds a remote root's retained history for sid
-// into nextHistory, keeping only entries resolvable locally (an entry the
-// packs could not supply this round is retried on a later sync).
-func (r *Repository) syncMergeHistoryLocked(sid string, doc snapDoc, nextHistory map[string][]histEntry) {
-	remote := doc.history[sid]
+// syncMergeHistoryLocked folds remote versions of sid into nextHistory,
+// skipping the merged head and keeping only entries resolvable locally (an
+// entry the packs could not supply this round is retried on a later sync).
+func (r *Repository) syncMergeHistoryLocked(sid string, head ID, remote []histEntry, nextHistory map[string][]histEntry) {
 	if len(remote) == 0 {
 		return
 	}
-	have := make(map[string]struct{})
+	have := map[string]struct{}{head.String(): {}}
 	for _, e := range nextHistory[sid] {
 		have[e.Manifest] = struct{}{}
 	}
@@ -332,7 +343,7 @@ func (r *Repository) syncMergeHistoryLocked(sid string, doc snapDoc, nextHistory
 			continue
 		}
 		hid, err := ParseID(e.Manifest)
-		if err != nil || !r.syncResolvableLocked(hid) {
+		if err != nil || !r.storedLocked(hid) {
 			continue
 		}
 		merged = append(merged, e)
@@ -350,25 +361,6 @@ func capHistory(entries []histEntry) []histEntry {
 		entries = entries[:maxRecordedHistory]
 	}
 	return entries
-}
-
-// syncResolvableLocked reports whether a manifest and all its chunks are
-// servable from this store right now.
-func (r *Repository) syncResolvableLocked(mid ID) bool {
-	mdata, err := r.loadBlobLocked(mid, BlobManifest)
-	if err != nil {
-		return false
-	}
-	_, chunks, err := decodeManifest(mdata)
-	if err != nil {
-		return false
-	}
-	for _, cid := range chunks {
-		if e, ok := r.ix.lookup(cid); !ok || e.typ != BlobChunk {
-			return false
-		}
-	}
-	return true
 }
 
 func sessionsEqual(a, b map[string]ID) bool {

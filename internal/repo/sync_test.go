@@ -99,12 +99,19 @@ func TestSyncIdempotentOnceConverged(t *testing.T) {
 
 // Divergent heads for the same session must converge to the same winner
 // no matter which side syncs from which, and the losing head must survive
-// as a retained version, not vanish.
+// as a retained version on both sides, not vanish. The winner depends on
+// the heads' hash order, so both orders run.
 func TestSyncDivergentHeadsConverge(t *testing.T) {
+	for _, seeds := range [][2]int64{{1, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("a=%d,b=%d", seeds[0], seeds[1]), func(t *testing.T) {
+			testSyncDivergentHeadsConverge(t, syntheticDoc(seeds[0], 6000), syntheticDoc(seeds[1], 6000))
+		})
+	}
+}
+
+func testSyncDivergentHeadsConverge(t *testing.T, docA, docB []byte) {
 	ra, beA, rb, beB := openPair(t)
 
-	docA := syntheticDoc(1, 6000)
-	docB := syntheticDoc(2, 6000)
 	if err := ra.SaveProfile("shared", docA); err != nil {
 		t.Fatal(err)
 	}
@@ -152,15 +159,19 @@ func TestSyncDivergentHeadsConverge(t *testing.T) {
 				t.Fatalf("%s missing after bidirectional sync: %v", id, err)
 			}
 		}
-		// The losing head is retained as a version on at least the side
-		// that was superseded; on both sides the winner's version list
-		// must include it once views converge.
-		if vs := r.Versions("shared"); len(vs) < 2 {
+		// The losing head is retained as a version on both sides: the
+		// superseded side moves it into history, and the winning side
+		// records the remote head it beat.
+		if vs := r.Versions("shared"); len(vs) != 2 {
 			t.Fatalf("losing head was not retained: %d versions", len(vs))
 		}
 		if rep := r.Check(); !rep.OK() {
 			t.Fatalf("store fails check after convergence: %v", rep.Errors)
 		}
+	}
+
+	if va, vb := ra.Versions("shared"), rb.Versions("shared"); fmt.Sprint(va) != fmt.Sprint(vb) {
+		t.Fatalf("version lists diverge: A=%v B=%v", va, vb)
 	}
 
 	// Fully converged now: one more pull each way is a no-op.
@@ -174,6 +185,43 @@ func TestSyncDivergentHeadsConverge(t *testing.T) {
 	}
 	if sa.RootWritten || sb.RootWritten {
 		t.Fatalf("converged pair still writing roots: A=%s B=%s", sa, sb)
+	}
+}
+
+// When the local head wins, the remote's head and history join local
+// history, but never the local head itself: here the remote's history
+// holds exactly the document that is the local head.
+func TestSyncWinningHeadStaysOutOfHistory(t *testing.T) {
+	ra, beA, rb, _ := openPair(t)
+	x, y := syntheticDoc(30, 4000), syntheticDoc(31, 4000)
+	for _, doc := range [][]byte{x, y} { // A: head y, history [x], root seq 2
+		if err := ra.SaveProfile("s", doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// B: head x under root seq 3, so B's head wins the merge.
+	for _, save := range []struct {
+		sid string
+		doc []byte
+	}{{"s", x}, {"o1", syntheticDoc(32, 1000)}, {"o2", syntheticDoc(33, 1000)}} {
+		if err := rb.SaveProfile(save.sid, save.doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rb.Sync(beA); err != nil {
+		t.Fatal(err)
+	}
+	vs := rb.Versions("s")
+	if len(vs) != 2 {
+		t.Fatalf("versions after sync = %v, want head x and history y", vs)
+	}
+	head, err := rb.GetVersion("s", vs[0].Manifest)
+	if err != nil || !bytes.Equal(head, x) {
+		t.Fatalf("head after sync: %d bytes, %v; want x", len(head), err)
+	}
+	prev, err := rb.GetVersion("s", vs[1].Manifest)
+	if err != nil || !bytes.Equal(prev, y) {
+		t.Fatalf("history after sync: %d bytes, %v; want y", len(prev), err)
 	}
 }
 

@@ -78,8 +78,8 @@ type Options struct {
 	// <dir>/<id>.json (atomically: temp file, fsync, rename).
 	ResultDir string
 	// Store, when set, persists each completed profile into the
-	// content-addressed profile repository (chunked, deduplicated,
-	// crash-safe). Result and ResultIDs then also serve sessions that only
+	// content-addressed profile repository (one SHA-256-addressed blob
+	// per profile, checksummed, crash-safe). Result and ResultIDs then also serve sessions that only
 	// exist in the store — e.g. from before a daemon restart — so the
 	// /profiles/ endpoints and cluster fan-out read through it
 	// transparently. With a Store, memory holds only the MaxSessions most
