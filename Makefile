@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz faults chaos chaos-cluster chaos-replica store-torture bench bench-baseline bench-all cover experiments examples clean
+.PHONY: all build test vet lint race fuzz faults chaos chaos-replica store-torture bench bench-baseline bench-all cover experiments examples clean
 
 all: build test
 
@@ -65,29 +65,27 @@ chaos:
 		-run 'Torn|CorruptCheckpoint|TrailingGarbage|Interrupt' \
 		./internal/profio ./cmd/aprof
 
-# Cluster chaos suite, bounded at 90s under the race detector: node kills
-# at every batch index with ring-successor failover, seed-swept link chaos
-# and half-open links, busy-shed rerouting, health-based routing around
-# dead nodes, the client failover leak audit, and the three-binary cluster
-# end-to-end test.
-chaos-cluster:
-	$(GO) test -race -timeout 90s -count=1 ./internal/cluster
-	$(GO) test -race -timeout 90s -count=1 -run 'LeakAudit' ./internal/server/client
-	$(GO) test -race -timeout 90s -count=1 -run 'TestClusterEndToEnd' ./cmd/aprofd
-
-# Replicated-cluster chaos suite, bounded at 90s under the race detector:
-# the no-shared-disk counterpart of chaos-cluster. Node kills at every
-# batch index WITH full data-dir wipes (checkpoint, replica store, and
-# profile store all lost) recovered purely from the APRR replica set,
-# torn replication-link sweeps, partition-interrupted store sync with
-# idempotent re-sync, the replication leak audit, and the APRR wire /
-# replica-store unit sweeps.
+# Cluster chaos suite, each run bounded at 90s under the race detector.
+# Nodes share no disk: node kills at every batch index WITH full data-dir
+# wipes (checkpoint store and profile store lost) recovered purely from
+# the APRR replica set, a restarted owner resuming from its own checkpoint
+# store, an unusable checkpoint dropped from the replica set, torn
+# replication-link sweeps, seed-swept client link chaos and half-open
+# links, busy-shed rerouting, health-based routing around dead nodes, the
+# fan-out view of a migrated session, partition-interrupted store sync
+# with idempotent re-sync, the replication and client failover leak
+# audits, the APRR wire / checkpoint-store unit sweeps, the ring, health
+# and fan-out unit tests, and the three-binary cluster end-to-end test
+# with the refused flag combinations.
 chaos-replica:
 	$(GO) test -race -timeout 90s -count=1 \
 		-run 'TestReplica|TestCkptStore|TestNewNode|TestPeerBackend|TestRoundTrip' \
 		./internal/replica
 	$(GO) test -race -timeout 90s -count=1 ./internal/replica/wire
+	$(GO) test -race -timeout 90s -count=1 ./internal/cluster
 	$(GO) test -race -timeout 90s -count=1 -run 'TestSync|TestRetention' ./internal/repo
+	$(GO) test -race -timeout 90s -count=1 -run 'LeakAudit' ./internal/server/client
+	$(GO) test -race -timeout 90s -count=1 -run 'TestCluster' ./cmd/aprofd
 
 # Profile-repository torture suite, bounded at 90s under the race
 # detector: decoder fuzz smoke over the committed corpora, the

@@ -7,7 +7,9 @@
 //
 //	aprofd -addr localhost:7071 [-checkpoint-dir DIR] [-result-dir DIR] [-store DIR]
 //	       [-debug-addr localhost:6060] [-max-sessions N] [-metric drms|rms|external-only]
-//	       [-cluster-peers HOST:PORT,...] [-max-decode-latency D] [-max-memory-bytes N]
+//	       [-max-decode-latency D] [-max-memory-bytes N]
+//	aprofd -addr HOST:PORT -replicate-peers HOST:PORT,... [-store DIR] [-replica-dir DIR]
+//	       [-cluster-peers HOST:PORT,...] [-sync-every D] [-replicas R] ...
 //
 // Sessions are panic-isolated and deadline-guarded; beyond -max-sessions
 // the daemon sheds load with an explicit busy response instead of
@@ -21,19 +23,24 @@
 // crash-safe) and /profiles/ serves sessions from it across restarts.
 // Manage the store with the aprofstore command.
 //
-// As a cluster member, -cluster-peers lists the other nodes' debug HTTP
-// addresses: /profiles/ then serves the merged cluster-wide view instead
-// of only this node's share. -max-decode-latency and -max-memory-bytes
-// turn the fixed session cap into an adaptive one that sheds down toward
-// -min-sessions while the node is measurably overloaded.
+// -max-decode-latency and -max-memory-bytes turn the fixed session cap
+// into an adaptive one that sheds down toward -min-sessions while the node
+// is measurably overloaded.
 //
-// With -replicate-peers (the full membership's ingest addresses, this
-// node included) the cluster needs no shared disk at all: each session's
-// checkpoint is pushed to its ring successors before any batch is
+// A cluster member runs with -replicate-peers (the full membership's
+// ingest addresses, this node included); the cluster needs no shared disk.
+// Each node keeps every checkpoint it holds in one checkpoint store under
+// -replica-dir (default <store>/replica): its own sessions' checkpoints
+// and the copies it holds for its peers. Each session's checkpoint is
+// stored there and pushed to its ring successors before any batch is
 // acknowledged, failover nodes recover checkpoints from the replica set,
 // and the profile store anti-entropy loop (-sync-every) pulls every
 // peer's missing blobs so /profiles/ serves every acked session even
-// after a node's disk is lost. Replication shares the -addr port.
+// after a node's disk is lost. Replication shares the -addr port;
+// -checkpoint-dir is for a single node and is refused with it.
+// -cluster-peers lists the other members' debug HTTP addresses: /profiles/
+// then serves the merged cluster-wide view instead of only this node's
+// share.
 package main
 
 import (
@@ -63,7 +70,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "localhost:7071", "TCP address to accept trace streams on")
 		debugAddr = flag.String("debug-addr", "", "serve metrics, pprof and /profiles/ on this HTTP address")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-session checkpoints (enables resume and drain durability)")
+		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-session checkpoints of a single node (enables resume and drain durability; not with -replicate-peers)")
 		resultDir = flag.String("result-dir", "", "directory to write completed profiles to as <session>.json")
 		storeDir  = flag.String("store", "", "profile repository directory (content-addressed, deduplicated, crash-safe); created if missing")
 		metric    = flag.String("metric", "drms", "input metric: drms, rms, or external-only")
@@ -77,11 +84,11 @@ func main() {
 		ckptEvery   = flag.Int("checkpoint-every", 0, "events between periodic checkpoints (0 = default)")
 		drainT      = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget before in-flight connections are force-closed")
 
-		clusterPeers = flag.String("cluster-peers", "", "comma-separated debug HTTP addresses of the other cluster nodes; /profiles/ serves the merged cluster view")
+		clusterPeers = flag.String("cluster-peers", "", "comma-separated debug HTTP addresses of the other cluster nodes; /profiles/ serves the merged cluster view (with -replicate-peers)")
 		replPeers    = flag.String("replicate-peers", "", "comma-separated ingest addresses of ALL cluster members (this node included); enables peer-to-peer checkpoint replication and store sync — no shared disk needed")
 		replSelf     = flag.String("replicate-self", "", "this node's own address within -replicate-peers (default -addr)")
 		replicas     = flag.Int("replicas", replica.DefaultReplicas, "checkpoint copies per session, this node's included (with -replicate-peers)")
-		replicaDir   = flag.String("replica-dir", "", "directory for checkpoints received from peers (default <store>/replica; with -replicate-peers)")
+		replicaDir   = flag.String("replica-dir", "", "checkpoint store directory: this node's session checkpoints and those received from peers (default <store>/replica; with -replicate-peers)")
 		syncEvery    = flag.Duration("sync-every", 30*time.Second, "store anti-entropy interval: pull missing blobs from every replication peer (0 disables; with -replicate-peers and -store)")
 		minSessions  = flag.Int("min-sessions", 1, "adaptive admission floor (with -max-decode-latency or -max-memory-bytes)")
 		maxDecodeLat = flag.Duration("max-decode-latency", 0, "shed sessions while batch-decode latency exceeds this (0 = fixed -max-sessions cap)")
@@ -94,16 +101,16 @@ func main() {
 		fatal(err)
 	}
 	// Replication-dependent flags without replication are a configuration
-	// mistake, not a silent default; and a cluster member with neither a
-	// checkpoint dir nor replication would fail over without durability —
-	// the old unconditional shared-dir assumption, now an explicit error.
-	if *replPeers == "" {
-		if *replSelf != "" || *replicaDir != "" {
-			fatal(fmt.Errorf("-replicate-self/-replica-dir need -replicate-peers"))
-		}
-		if *clusterPeers != "" && *ckptDir == "" {
-			fatal(fmt.Errorf("a cluster member needs session durability for failover: set -checkpoint-dir (shared disk) or -replicate-peers (peer-to-peer replication)"))
-		}
+	// mistake, not a silent default. A cluster member recovers sessions
+	// only from the replica set, and a replicating node keeps its
+	// checkpoints in its replica store, never in a checkpoint dir.
+	switch {
+	case *replPeers == "" && (*replSelf != "" || *replicaDir != ""):
+		fatal(fmt.Errorf("-replicate-self/-replica-dir need -replicate-peers"))
+	case *replPeers == "" && *clusterPeers != "":
+		fatal(fmt.Errorf("-cluster-peers needs -replicate-peers: a cluster member recovers failed-over sessions from its peers' checkpoint replicas"))
+	case *replPeers != "" && *ckptDir != "":
+		fatal(fmt.Errorf("-checkpoint-dir cannot be used with -replicate-peers: a replicating node keeps its checkpoints in its replica store (-replica-dir, default <store>/replica)"))
 	}
 	for _, dir := range []string{*ckptDir, *resultDir} {
 		if dir != "" {
@@ -152,7 +159,7 @@ func main() {
 			dir = filepath.Join(*storeDir, "replica")
 		}
 		if dir == "" {
-			logger.Printf("aprofd: warning: no -replica-dir and no -store; checkpoints received from peers are held in memory only")
+			logger.Printf("aprofd: warning: no -replica-dir and no -store; this node's checkpoints, its own sessions' and its peers', are held in memory only")
 		}
 		node, err := replica.NewNode(replica.Options{
 			Self:     self,

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -198,11 +201,12 @@ func startDaemon(t *testing.T, bin string, args ...string) (proc *exec.Cmd, addr
 	return daemon, addr, debugAddr
 }
 
-// TestClusterEndToEnd drives a three-binary cluster: one node is
-// SIGKILLed before the upload, aprofsend -cluster routes around it by
-// ring-successor failover, and a surviving node's fan-out endpoint serves
-// the profile cluster-wide — byte-identical to the offline pipeline, with
-// the index honestly flagged partial while a peer is dead.
+// TestClusterEndToEnd drives a three-binary replicating cluster, each node
+// with its own -store: one node is SIGKILLed before the upload, aprofsend
+// -cluster routes around it by ring-successor failover, and a surviving
+// node's fan-out endpoint serves the profile cluster-wide — byte-identical
+// to the offline pipeline, with the index honestly flagged partial while a
+// peer is dead.
 func TestClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the aprofd and aprofsend binaries")
@@ -231,15 +235,17 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	want := wantBuf.Bytes()
 
-	// All nodes share one checkpoint directory — the stand-in for the
-	// shared volume that makes a migration a resume.
-	ckpt := filepath.Join(dir, "ckpt")
-	baseArgs := func() []string {
-		return []string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-checkpoint-dir", ckpt}
+	// -replicate-peers names every member, so the ingest ports are
+	// reserved before any daemon starts. Nothing is shared on disk.
+	addrs := reservePorts(t, 3)
+	peers := strings.Join(addrs, ",")
+	nodeArgs := func(i int) []string {
+		return []string{"-addr", addrs[i], "-debug-addr", "127.0.0.1:0",
+			"-store", filepath.Join(dir, fmt.Sprintf("store%d", i)), "-replicate-peers", peers}
 	}
-	a, addrA, _ := startDaemon(t, aprofd, baseArgs()...)
-	_, addrB, dbgB := startDaemon(t, aprofd, baseArgs()...)
-	_, addrC, dbgC := startDaemon(t, aprofd, append(baseArgs(), "-cluster-peers", dbgB)...)
+	a, addrA, _ := startDaemon(t, aprofd, nodeArgs(0)...)
+	_, addrB, dbgB := startDaemon(t, aprofd, nodeArgs(1)...)
+	_, addrC, dbgC := startDaemon(t, aprofd, append(nodeArgs(2), "-cluster-peers", dbgB)...)
 
 	// Node A dies hard before the upload: failover must route around it.
 	if err := a.Process.Kill(); err != nil {
@@ -277,5 +283,54 @@ func TestClusterEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(idx), `"clustered"`) {
 		t.Fatalf("cluster index is missing the session: %s", idx)
+	}
+}
+
+// reservePorts binds n loopback ports and releases them, returning their
+// addresses for daemons that must know the whole membership up front.
+func reservePorts(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	return addrs
+}
+
+// TestClusterFlagConflictsRefused: aprofd refuses the shared-checkpoint
+// cluster configurations — a cluster member without replication, and a
+// replicating node with a checkpoint dir — at start, naming the conflict.
+func TestClusterFlagConflictsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the aprofd binary")
+	}
+	dir := t.TempDir()
+	aprofd := buildBinary(t, dir, "aprofd", ".")
+	addr := reservePorts(t, 1)[0]
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cluster-peers", "127.0.0.1:1", "-checkpoint-dir", filepath.Join(dir, "ckpt")},
+			"-cluster-peers needs -replicate-peers"},
+		{[]string{"-replicate-peers", addr, "-checkpoint-dir", filepath.Join(dir, "ckpt")},
+			"-checkpoint-dir cannot be used with -replicate-peers"},
+	} {
+		// A daemon that accepts the flags runs until the deadline kills it.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, aprofd, append([]string{"-addr", addr}, tc.args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("aprofd %v: got %v, want exit status 1\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Fatalf("aprofd %v: output does not name the conflict %q:\n%s", tc.args, tc.want, out)
+		}
 	}
 }

@@ -9,8 +9,8 @@
 // failover order — every client computes the same owner and the same
 // successor sequence for a session id, so when the owner dies mid-stream
 // the session migrates to the node every other participant would also pick,
-// and (with a shared checkpoint directory) resumes from the server-acked
-// offset via the APCK resend protocol. Profile output is byte-identical
+// and (recovering the checkpoint from the session's replica set) resumes
+// from the server-acked offset via the APCK resend protocol. Profile output is byte-identical
 // across migrations because resume-by-resend replays the exact event
 // prefix the checkpoint accounts for.
 package cluster

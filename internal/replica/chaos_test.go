@@ -1,14 +1,19 @@
 package replica_test
 
-// The replicated-cluster chaos suite — the no-shared-disk counterpart of
-// the internal/cluster suite. Every node here has strictly PRIVATE state:
-// its own checkpoint dir, its own replica store, its own profile
-// repository. Durability comes only from the APRR replication ring and
-// store anti-entropy. The invariants proved:
+// The cluster chaos suite. Every node here has strictly PRIVATE state, as
+// aprofd -store -replicate-peers lays it out: its own profile repository
+// and, inside it, its own checkpoint store, which holds the checkpoints of
+// the sessions the node serves and the replicas it keeps for its peers.
+// Durability comes only from the APRR replication ring and store
+// anti-entropy. The invariants proved:
 //
 //   - Kill the serving node at every batch index AND wipe its disk: the
 //     session fails over, resumes from the replicated checkpoint, and the
-//     final profile is byte-identical to the offline pipeline.
+//     final profile is byte-identical to the offline pipeline. A restarted
+//     owner resumes from its own copy; an unusable copy is dropped.
+//   - Routing holds under link chaos, half-open links, busy-shed overload
+//     and health-based ejection of a dead owner, and the fan-out view
+//     serves a migrated session from any survivor.
 //   - Replication links that fragment and reset mid-frame delay but never
 //     corrupt: torn pushes are CRC-rejected, redials recover, output stays
 //     byte-identical.
@@ -25,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,6 +40,7 @@ import (
 	"testing"
 	"time"
 
+	"aprof/internal/cluster"
 	"aprof/internal/core"
 	"aprof/internal/faultio"
 	"aprof/internal/obs"
@@ -88,14 +96,15 @@ type rnode struct {
 type rcluster struct {
 	nodes []*rnode
 	addrs []string
+	tweak func(i int, so *server.Options, ro *replica.Options)
 }
 
 // startReplicaCluster stands up n replicated aprofd nodes, each over its
-// own temp root (checkpoint/, replica/, store/), serving APRD and APRR on
-// one port. tweak may adjust either option set before construction.
+// own temp root, serving APRD and APRR on one port. tweak may adjust
+// either option set before construction.
 func startReplicaCluster(t *testing.T, n int, tweak func(i int, so *server.Options, ro *replica.Options)) *rcluster {
 	t.Helper()
-	c := &rcluster{}
+	c := &rcluster{tweak: tweak}
 	lns := make([]net.Listener, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -106,70 +115,111 @@ func startReplicaCluster(t *testing.T, n int, tweak func(i int, so *server.Optio
 		c.addrs = append(c.addrs, ln.Addr().String())
 	}
 	for i := 0; i < n; i++ {
-		root := t.TempDir()
-		be, err := backend.OpenLocal(filepath.Join(root, "store"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := repo.OpenOrInit(be, repo.Options{Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		ro := replica.Options{
-			Self:    c.addrs[i],
-			Peers:   append([]string(nil), c.addrs...),
-			Dir:     filepath.Join(root, "replica"),
-			Backend: be,
-			Obs:     reg,
-			Logf:    t.Logf,
-		}
-		so := server.Options{
-			CheckpointDir:   filepath.Join(root, "checkpoint"),
-			Store:           rep,
-			Config:          core.DefaultConfig(),
-			BatchSize:       16,
-			CheckpointEvery: 4,
-			Obs:             reg,
-			Logf:            t.Logf,
-		}
-		if err := os.MkdirAll(so.CheckpointDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if tweak != nil {
-			tweak(i, &so, &ro)
-		}
-		node, err := replica.NewNode(ro)
-		if err != nil {
-			t.Fatal(err)
-		}
-		so.Replica = node
-		srv := server.New(so)
-		srv.Serve(lns[i])
-		rn := &rnode{addr: c.addrs[i], root: root, srv: srv, node: node, rep: rep, obs: reg}
+		rn := &rnode{addr: c.addrs[i], root: t.TempDir()}
 		c.nodes = append(c.nodes, rn)
-		t.Cleanup(func() {
-			rn.srv.Abort()
-			rn.srv.Wait()
-			rn.node.Close()
-			rn.rep.Close() // wiped victims error here; that is fine
-		})
+		c.start(t, i, lns[i])
+		t.Cleanup(rn.stop)
 	}
 	return c
 }
 
-// kill is the machine-death stand-in: server aborted, replica node closed,
-// and — the part the shared-dir suite could never do — the entire disk
-// root wiped. Nothing of this node survives.
-func (c *rcluster) kill(t *testing.T, i int) {
+// start builds node i over its root the way `aprofd -store <root>/store
+// -replicate-peers` builds a member — the profile store in store/, the
+// checkpoint store in store/replica, no checkpoint dir — and serves it on
+// ln.
+func (c *rcluster) start(t *testing.T, i int, ln net.Listener) {
 	t.Helper()
-	n := c.nodes[i]
+	rn := c.nodes[i]
+	be, err := backend.OpenLocal(filepath.Join(rn.root, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := repo.OpenOrInit(be, repo.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ro := replica.Options{
+		Self:    rn.addr,
+		Peers:   append([]string(nil), c.addrs...),
+		Dir:     filepath.Join(rn.root, "store", "replica"),
+		Backend: be,
+		Obs:     reg,
+		Logf:    t.Logf,
+	}
+	so := server.Options{
+		Store:           rep,
+		Config:          core.DefaultConfig(),
+		BatchSize:       16,
+		CheckpointEvery: 4,
+		Obs:             reg,
+		Logf:            t.Logf,
+	}
+	if c.tweak != nil {
+		c.tweak(i, &so, &ro)
+	}
+	node, err := replica.NewNode(ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so.Replica = node
+	srv := server.New(so)
+	srv.Serve(ln)
+	rn.srv, rn.node, rn.rep, rn.obs = srv, node, rep, reg
+}
+
+// stop is a process death that keeps the disk: server aborted, replica
+// node closed, store closed.
+func (n *rnode) stop() {
 	n.srv.Abort()
 	n.srv.Wait()
 	n.node.Close()
-	if err := os.RemoveAll(n.root); err != nil {
+	n.rep.Close() // wiped victims error here; that is fine
+}
+
+// kill is the machine-death stand-in: the node stops and its entire disk
+// root is wiped. Nothing of this node survives.
+func (c *rcluster) kill(t *testing.T, i int) {
+	t.Helper()
+	c.nodes[i].stop()
+	if err := os.RemoveAll(c.nodes[i].root); err != nil {
 		t.Fatalf("wiping node %d: %v", i, err)
 	}
+}
+
+// restart brings a stopped node back on its address over its root.
+func (c *rcluster) restart(t *testing.T, i int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", c.nodes[i].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.start(t, i, ln)
+}
+
+// index maps a member address back to its node index.
+func (c *rcluster) index(t *testing.T, addr string) int {
+	t.Helper()
+	for i, a := range c.addrs {
+		if a == addr {
+			return i
+		}
+	}
+	t.Fatalf("%s is not a member", addr)
+	return -1
+}
+
+// result finds a completed session's profile on any node not in skip.
+func (c *rcluster) result(id string, skip map[int]bool) []byte {
+	for i, n := range c.nodes {
+		if skip[i] {
+			continue
+		}
+		if r, ok := n.srv.Result(id); ok && r != nil {
+			return r.Profile
+		}
+	}
+	return nil
 }
 
 // syncAll runs store anti-entropy between every ordered pair of surviving
@@ -260,25 +310,14 @@ func TestReplicaKillAtEveryBatchNoSharedDir(t *testing.T) {
 				}
 			})
 
-			cd, err := client.NewClusterDialer(client.ClusterOptions{
-				Nodes:     c.addrs,
-				SessionID: "victim",
-				DialNode: func(ctx context.Context, addr string) (net.Conn, error) {
-					// Before any redial, finish the kill: wait the victim out,
-					// then wipe its entire disk root. Whatever the failover
-					// node resumes from, it cannot have come from the victim's
-					// machine.
-					if v := victimIdx.Load(); v >= 0 {
-						wipeOnce.Do(func() { c.kill(t, int(v)) })
-					}
-					var d net.Dialer
-					return d.DialContext(ctx, "tcp", addr)
-				},
-				Logf: t.Logf,
+			// Before any redial, finish the kill: wait the victim out, then
+			// wipe its entire disk root. Whatever the failover node resumes
+			// from, it cannot have come from the victim's machine.
+			cd := failoverDialer(t, c, "victim", func() {
+				if v := victimIdx.Load(); v >= 0 {
+					wipeOnce.Do(func() { c.kill(t, int(v)) })
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			res, err := client.Run(context.Background(), client.Options{
 				SessionID:   "victim",
 				Open:        opener(enc),
@@ -409,11 +448,11 @@ func TestReplicaTornPushSweep(t *testing.T) {
 			}
 			t.Logf("%d pushes, %d redials", pushed, redials)
 			// Retries and failed pushes included, every replica push is one
-			// replicate_us observation, and every push rides on a local
-			// append.
+			// replicate_us observation, and every push rides on an append
+			// to a checkpoint store.
 			var appends, replicates, confirmed, failed uint64
 			for _, n := range c.nodes {
-				appends += histCount(n.obs, server.ObsScopeServer, "checkpoint_append_us")
+				appends += histCount(n.obs, replica.ObsScopeReplica, "checkpoint_append_us")
 				replicates += histCount(n.obs, server.ObsScopeServer, "replicate_us")
 				snap := n.obs.Snapshot().Scope(server.ObsScopeServer)
 				confirmed += snap.Counter("replica_checkpoints_pushed")
@@ -428,9 +467,11 @@ func TestReplicaTornPushSweep(t *testing.T) {
 }
 
 // TestBoundaryStageHistograms: a clean replicated session observes each
-// boundary stage once per checkpoint boundary — checkpoint_append_us (the
-// local append and fsync) and replicate_us (the push until MinConfirms) —
-// as many times as it sends boundary acks and confirms pushes.
+// boundary stage once per checkpoint boundary — checkpoint_append_us (an
+// append and fsync to a checkpoint store: the owner's own copy on the
+// serving node, the received copy on its peer) and replicate_us (the
+// replication until MinConfirms) — as many times as it sends boundary acks
+// and confirms pushes.
 func TestBoundaryStageHistograms(t *testing.T) {
 	enc := testTrace(t, 52, 480)
 	want := offlineProfile(t, enc)
@@ -451,12 +492,13 @@ func TestBoundaryStageHistograms(t *testing.T) {
 		t.Fatalf("clean session reconnected: %+v", res)
 	}
 	var got []byte
-	var appends, replicates, acks, confirmed uint64
-	for _, n := range c.nodes {
+	var replicates, acks, confirmed uint64
+	counts := map[string]uint64{}
+	for i, n := range c.nodes {
 		if r, ok := n.srv.Result("stages"); ok && r != nil {
 			got = r.Profile
 		}
-		appends += histCount(n.obs, server.ObsScopeServer, "checkpoint_append_us")
+		counts[fmt.Sprintf("node %d checkpoint_append_us observations", i)] = histCount(n.obs, replica.ObsScopeReplica, "checkpoint_append_us")
 		replicates += histCount(n.obs, server.ObsScopeServer, "replicate_us")
 		snap := n.obs.Snapshot().Scope(server.ObsScopeServer)
 		acks += snap.Counter("acks_sent")
@@ -465,12 +507,10 @@ func TestBoundaryStageHistograms(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("profile differs from the offline pipeline")
 	}
-	for name, n := range map[string]uint64{
-		"checkpoint_append_us observations": appends,
-		"replicate_us observations":         replicates,
-		"boundary acks":                     acks,
-		"confirmed pushes":                  confirmed,
-	} {
+	counts["replicate_us observations"] = replicates
+	counts["boundary acks"] = acks
+	counts["confirmed pushes"] = confirmed
+	for name, n := range counts {
 		if n != boundaries {
 			t.Errorf("%s = %d, want one per boundary (%d)", name, n, boundaries)
 		}
@@ -629,7 +669,9 @@ func TestReplicaLeakAudit(t *testing.T) {
 		if err := n.Replicate("leak", 1, []byte("x")); err == nil {
 			t.Fatal("push to dead peers confirmed")
 		}
-		if _, _, err := n.Recover("leak"); err == nil {
+		// A failed push still leaves this node's own copy of "leak", so
+		// recovery is audited on a session that was never pushed.
+		if _, _, err := n.Recover("never-pushed"); err == nil {
 			t.Fatal("recover from dead peers succeeded")
 		}
 		n.Drop("leak")
@@ -729,5 +771,513 @@ func audit(t *testing.T, fn func(t *testing.T)) {
 			t.Fatalf("leak: goroutines %d -> %d, fds %d -> %d", goroutines, g, fds, f)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// failoverDialer routes a session over the cluster; before every dial it
+// runs before (when non-nil), the hook the kill tests use to finish a kill
+// before the client redials.
+func failoverDialer(t *testing.T, c *rcluster, id string, before func()) *client.ClusterDialer {
+	t.Helper()
+	cd, err := client.NewClusterDialer(client.ClusterOptions{
+		Nodes:     c.addrs,
+		SessionID: id,
+		DialNode: func(ctx context.Context, addr string) (net.Conn, error) {
+			if before != nil {
+				before()
+			}
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cd
+}
+
+// TestReplicaUnusableCheckpointIsDropped: the replica set holds garbage
+// for a session at a sequence far past any real checkpoint. The session's
+// start discards it as unusable and must also drop it from the replica
+// set: left there, it answers every later push as stale — acks would go
+// out with no usable copy anywhere — and a failover after the owner's
+// disk is lost would find only the garbage and restart from scratch.
+func TestReplicaUnusableCheckpointIsDropped(t *testing.T) {
+	enc := testTrace(t, 53, 480)
+	want := offlineProfile(t, enc)
+	const id, killAt = "garbled", 9 // two boundaries acked before the kill
+
+	var killed atomic.Bool
+	var victim atomic.Int64
+	victim.Store(-1)
+	var wipeOnce sync.Once
+	var c *rcluster
+	c = startReplicaCluster(t, 3, func(i int, so *server.Options, ro *replica.Options) {
+		so.OnSessionBatch = func(sid string, batch int, delivered uint64) {
+			if batch == killAt && killed.CompareAndSwap(false, true) {
+				victim.Store(int64(i))
+				c.nodes[i].srv.Abort()
+			}
+		}
+	})
+	owner := c.index(t, c.nodes[0].node.ReplicaSet(id)[0])
+	if err := c.nodes[owner].node.Replicate(id, 1<<40, []byte("not a checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+
+	cd := failoverDialer(t, c, id, func() {
+		if v := victim.Load(); v >= 0 {
+			wipeOnce.Do(func() { c.kill(t, int(v)) })
+		}
+	})
+	res, err := client.Run(context.Background(), client.Options{
+		SessionID: id, Open: opener(enc), Dialer: cd,
+		MaxAttempts: 10, Backoff: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("upload failed: %v (result %+v)", err, res)
+	}
+	if v := victim.Load(); v != int64(owner) {
+		t.Fatalf("killed node %d, want the owner %d", v, owner)
+	}
+	if res.ResumedFrom == 0 {
+		t.Fatalf("failover restarted from scratch: the acked boundaries left no usable copy (result %+v)", res)
+	}
+	if got := c.result(id, map[int]bool{owner: true}); !bytes.Equal(got, want) {
+		t.Fatal("profile differs from the offline pipeline")
+	}
+}
+
+// TestReplicaOwnerRestartKeepsOwnCheckpoint: the owner's own checkpoint
+// copy lives in its replica store, on its disk, so it survives a restart
+// of the owner. The owner dies after acked boundaries with its disk kept,
+// its first successor — the other holder of the session's checkpoint —
+// dies with its disk wiped, and the owner comes back on the same address
+// and directories: the upload must resume from the owner's own copy.
+// Nodes are built as aprofd -store -replicate-peers builds them, which
+// leaves no scratch checkpoint directory behind either.
+func TestReplicaOwnerRestartKeepsOwnCheckpoint(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	enc := testTrace(t, 54, 480)
+	want := offlineProfile(t, enc)
+	const id, killAt = "restarted", 9 // two boundaries acked before the kill
+
+	var killed atomic.Bool
+	var victim atomic.Int64
+	victim.Store(-1)
+	var c *rcluster
+	c = startReplicaCluster(t, 3, func(i int, so *server.Options, ro *replica.Options) {
+		so.OnSessionBatch = func(sid string, batch int, delivered uint64) {
+			if batch == killAt && killed.CompareAndSwap(false, true) {
+				victim.Store(int64(i))
+				c.nodes[i].srv.Abort()
+			}
+		}
+	})
+	set := c.nodes[0].node.ReplicaSet(id)
+	owner, successor := c.index(t, set[0]), c.index(t, set[1])
+
+	var restartOnce sync.Once
+	cd := failoverDialer(t, c, id, func() {
+		if victim.Load() >= 0 {
+			restartOnce.Do(func() {
+				c.nodes[owner].stop()
+				c.kill(t, successor)
+				c.restart(t, owner)
+			})
+		}
+	})
+	res, err := client.Run(context.Background(), client.Options{
+		SessionID: id, Open: opener(enc), Dialer: cd,
+		MaxAttempts: 10, Backoff: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("upload failed: %v (result %+v)", err, res)
+	}
+	if v := victim.Load(); v != int64(owner) {
+		t.Fatalf("killed node %d, want the owner %d", v, owner)
+	}
+	if res.ResumedFrom == 0 {
+		t.Fatalf("restarted owner lost its own checkpoint: the upload restarted from scratch (result %+v)", res)
+	}
+	if got := c.result(id, map[int]bool{successor: true}); !bytes.Equal(got, want) {
+		t.Fatal("profile differs from the offline pipeline")
+	}
+	leaked, err := filepath.Glob(filepath.Join(tmp, "aprofd-ckpt-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leaked) != 0 {
+		t.Fatalf("scratch checkpoint directories left behind: %v", leaked)
+	}
+}
+
+// TestReplicaLinkChaosFailoverSweep: every client connection is fragmented
+// and mid-frame reset (budget growing with the attempt), and
+// FailoverAfter=1 makes each reset hop the session to the ring successor —
+// the session migrates across nodes repeatedly, each resuming from the
+// replica set, and must still land byte-identical.
+func TestReplicaLinkChaosFailoverSweep(t *testing.T) {
+	enc := testTrace(t, 41, 900)
+	want := offlineProfile(t, enc)
+	before := runtime.NumGoroutine()
+
+	for seed := int64(0); seed < 3; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c := startReplicaCluster(t, 3, nil)
+			var attempts atomic.Int64
+			var mu sync.Mutex
+			dialed := map[string]int{}
+			id := fmt.Sprintf("link-%d", seed)
+			cd, err := client.NewClusterDialer(client.ClusterOptions{
+				Nodes:         c.addrs,
+				SessionID:     id,
+				FailoverAfter: 1,
+				DialNode: func(ctx context.Context, addr string) (net.Conn, error) {
+					n := attempts.Add(1)
+					mu.Lock()
+					dialed[addr]++
+					mu.Unlock()
+					var d net.Dialer
+					conn, derr := d.DialContext(ctx, "tcp", addr)
+					if derr != nil {
+						return nil, derr
+					}
+					return faultio.WrapConn(conn, faultio.ConnConfig{
+						Seed:            seed*100 + n,
+						MaxWriteChunk:   512,
+						ResetAfterBytes: int64(len(enc)) / 5 * n,
+					}), nil
+				},
+				Logf: t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := client.Run(context.Background(), client.Options{
+				SessionID:   id,
+				Open:        opener(enc),
+				Dialer:      cd,
+				MaxAttempts: 12,
+				Backoff:     time.Millisecond,
+				Jitter:      0.5,
+				Seed:        seed,
+			})
+			if err != nil {
+				t.Fatalf("upload under link chaos failed: %v (result %+v)", err, res)
+			}
+			if res.Reconnects == 0 {
+				t.Fatalf("chaos schedule never tore a connection: %+v", res)
+			}
+			mu.Lock()
+			distinct := len(dialed)
+			mu.Unlock()
+			if distinct < 2 {
+				t.Fatalf("session never migrated: dial distribution %v", dialed)
+			}
+			if got := c.result(id, nil); !bytes.Equal(got, want) {
+				t.Fatal("profile after chaotic migrations differs from offline pipeline")
+			}
+		})
+	}
+	waitNoLeak(t, before)
+}
+
+// TestReplicaHalfOpenLinkFailsOver: the first connection goes half-open
+// mid-upload — writes vanish without erroring — so only the serving
+// node's idle timeout can break the stall. The client must then treat it
+// as any transient, fail over, and finish byte-identical.
+func TestReplicaHalfOpenLinkFailsOver(t *testing.T) {
+	enc := testTrace(t, 42, 700)
+	want := offlineProfile(t, enc)
+
+	for seed := int64(0); seed < 2; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c := startReplicaCluster(t, 2, func(i int, so *server.Options, ro *replica.Options) {
+				so.IdleTimeout = 50 * time.Millisecond
+			})
+			var attempts atomic.Int64
+			id := fmt.Sprintf("halfopen-%d", seed)
+			cd, err := client.NewClusterDialer(client.ClusterOptions{
+				Nodes:         c.addrs,
+				SessionID:     id,
+				FailoverAfter: 1,
+				DialNode: func(ctx context.Context, addr string) (net.Conn, error) {
+					var d net.Dialer
+					conn, derr := d.DialContext(ctx, "tcp", addr)
+					if derr != nil {
+						return nil, derr
+					}
+					if attempts.Add(1) == 1 {
+						// Half-open only the first connection, partway in.
+						return faultio.WrapConn(conn, faultio.ConnConfig{
+							Seed:                 seed,
+							MaxWriteChunk:        512,
+							BlackholeWritesAfter: int64(len(enc)) / 3,
+						}), nil
+					}
+					return conn, nil
+				},
+				Logf: t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := client.Run(context.Background(), client.Options{
+				SessionID:   id,
+				Open:        opener(enc),
+				Dialer:      cd,
+				MaxAttempts: 6,
+				Backoff:     2 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatalf("upload across half-open link failed: %v (result %+v)", err, res)
+			}
+			if res.Reconnects == 0 {
+				t.Fatalf("half-open link never forced a reconnect: %+v", res)
+			}
+			if got := c.result(id, nil); !bytes.Equal(got, want) {
+				t.Fatal("profile after half-open failover differs from offline pipeline")
+			}
+		})
+	}
+}
+
+// TestReplicaBusyShedFailsOver: the session's ring owner is at capacity,
+// so its handshake sheds — and the cluster dialer must take the hint and
+// complete the session on the ring successor, first try, no backing off
+// against a full node.
+func TestReplicaBusyShedFailsOver(t *testing.T) {
+	enc := testTrace(t, 43, 600)
+	want := offlineProfile(t, enc)
+
+	gate := make(chan struct{})
+	defer close(gate)
+	var once sync.Once
+	c := startReplicaCluster(t, 3, func(i int, so *server.Options, ro *replica.Options) {
+		so.MaxSessions = 1
+		so.OnSessionBatch = func(id string, batch int, delivered uint64) {
+			if id == "holder" {
+				once.Do(func() { <-gate })
+			}
+		}
+	})
+
+	// Find the ring owner for the session and occupy its only slot.
+	ring, err := cluster.NewRing(c.addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := ring.Sequence("shed-me")
+	holderDone := make(chan error, 1)
+	go func() {
+		_, herr := client.Run(context.Background(), client.Options{
+			Addr: seq[0], SessionID: "holder", Open: opener(enc),
+		})
+		holderDone <- herr
+	}()
+	waitActive(t, c.nodes[c.index(t, seq[0])].srv)
+
+	cd, err := client.NewClusterDialer(client.ClusterOptions{
+		Nodes:     c.addrs,
+		SessionID: "shed-me",
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Run(context.Background(), client.Options{
+		SessionID: "shed-me",
+		Open:      opener(enc),
+		Dialer:    cd,
+		Backoff:   time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("upload with a full owner failed: %v (result %+v)", err, res)
+	}
+	if res.Reconnects != 1 {
+		t.Fatalf("reconnects = %d, want exactly 1 (one shed, one success)", res.Reconnects)
+	}
+	if got := cd.Node(); got != seq[1] {
+		t.Fatalf("session landed on %s, want ring successor %s", got, seq[1])
+	}
+	byOwner, _ := c.nodes[c.index(t, seq[1])].srv.Result("shed-me")
+	if byOwner == nil || !bytes.Equal(byOwner.Profile, want) {
+		t.Fatal("profile after busy-shed failover differs from offline pipeline")
+	}
+
+	gate <- struct{}{}
+	if err := <-holderDone; err != nil {
+		t.Fatalf("holder session failed: %v", err)
+	}
+}
+
+// waitActive polls until the node has an active session.
+func waitActive(t *testing.T, s *server.Server) {
+	t.Helper()
+	for i := 0; ; i++ {
+		if len(s.ResultIDs()) > 0 || s.ActiveSessions() > 0 {
+			return
+		}
+		if i > 1000 {
+			t.Fatalf("no session ever became active on %s", s.Addr())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReplicaHealthRoutesAroundDeadNode: once the probers eject a killed
+// owner, a new session's dialer must skip it without paying a connect
+// attempt — the health view saves the dial, not just the session.
+func TestReplicaHealthRoutesAroundDeadNode(t *testing.T) {
+	enc := testTrace(t, 44, 500)
+	want := offlineProfile(t, enc)
+	c := startReplicaCluster(t, 3, nil)
+
+	health := cluster.NewHealth(c.addrs, cluster.HealthOptions{
+		Interval: 10 * time.Millisecond,
+		Timeout:  time.Second,
+		Logf:     t.Logf,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	health.Start(ctx)
+	defer health.Stop()
+
+	// Kill the owner of the upcoming session and wait for ejection.
+	ring, err := cluster.NewRing(c.addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := ring.Sequence("routed")
+	dead := c.index(t, seq[0])
+	c.kill(t, dead)
+	for i := 0; ; i++ {
+		if !health.Alive(seq[0]) {
+			break
+		}
+		if i > 500 {
+			t.Fatalf("probers never ejected the killed owner; down=%v", health.Down())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	var mu sync.Mutex
+	dialed := map[string]int{}
+	cd, err := client.NewClusterDialer(client.ClusterOptions{
+		Nodes:     c.addrs,
+		SessionID: "routed",
+		Health:    health,
+		DialNode: func(ctx context.Context, addr string) (net.Conn, error) {
+			mu.Lock()
+			dialed[addr]++
+			mu.Unlock()
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Run(context.Background(), client.Options{
+		SessionID: "routed",
+		Open:      opener(enc),
+		Dialer:    cd,
+		Backoff:   time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("upload around dead owner failed: %v (result %+v)", err, res)
+	}
+	mu.Lock()
+	deadDials := dialed[seq[0]]
+	mu.Unlock()
+	if deadDials != 0 {
+		t.Fatalf("dialer paid %d connect attempts to the ejected owner", deadDials)
+	}
+	if got := c.result("routed", map[int]bool{dead: true}); !bytes.Equal(got, want) {
+		t.Fatal("profile after health-based routing differs from offline pipeline")
+	}
+}
+
+// TestReplicaFanoutServesMigratedSession: after a kill-driven migration,
+// the fan-out view on any surviving node must serve the session's profile
+// and flag the dead peer's absence as a partial index, never an error.
+func TestReplicaFanoutServesMigratedSession(t *testing.T) {
+	enc := testTrace(t, 45, 600)
+	want := offlineProfile(t, enc)
+
+	var killed atomic.Bool
+	var victim atomic.Int64
+	victim.Store(-1)
+	var wipeOnce sync.Once
+	var c *rcluster
+	c = startReplicaCluster(t, 3, func(i int, so *server.Options, ro *replica.Options) {
+		so.OnSessionBatch = func(id string, batch int, delivered uint64) {
+			if batch == 2 && killed.CompareAndSwap(false, true) {
+				victim.Store(int64(i))
+				c.nodes[i].srv.Abort()
+			}
+		}
+	})
+	cd := failoverDialer(t, c, "migrated", func() {
+		if v := victim.Load(); v >= 0 {
+			wipeOnce.Do(func() { c.kill(t, int(v)) })
+		}
+	})
+	if _, err := client.Run(context.Background(), client.Options{
+		SessionID: "migrated", Open: opener(enc), Dialer: cd,
+		MaxAttempts: 10, Backoff: 2 * time.Millisecond,
+	}); err != nil {
+		t.Fatalf("upload across kill failed: %v", err)
+	}
+	dead := int(victim.Load())
+
+	// Stand up the debug HTTP side of every node: each survivor's fan-out
+	// peers at the others (including the dead one — its HTTP side is a
+	// plain unreachable address, exactly like a crashed machine). Two
+	// passes: first bind listeners so every peer address exists, then
+	// build fan-outs with the full peer lists.
+	httpAddrs := make([]string, 3)
+	srvs := make([]*httptest.Server, 3)
+	muxes := make([]*http.ServeMux, 3)
+	for i := range c.nodes {
+		muxes[i] = http.NewServeMux()
+		srvs[i] = httptest.NewServer(muxes[i])
+		defer srvs[i].Close()
+		httpAddrs[i] = srvs[i].Listener.Addr().String()
+	}
+	for i, n := range c.nodes {
+		peers := make([]string, 0, 2)
+		for j := range c.nodes {
+			if j != i {
+				peers = append(peers, httpAddrs[j])
+			}
+		}
+		muxes[i].Handle("/profiles/", cluster.NewFanout(n.srv, peers, 500*time.Millisecond).Handler())
+	}
+	// The dead node's HTTP side goes away with the machine.
+	srvs[dead].Close()
+
+	for i := range c.nodes {
+		if i == dead {
+			continue
+		}
+		resp, err := http.Get("http://" + httpAddrs[i] + "/profiles/migrated")
+		if err != nil {
+			t.Fatalf("node %d fan-out query: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d fan-out status %d: %s", i, resp.StatusCode, body)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("node %d fan-out profile differs from offline pipeline", i)
+		}
 	}
 }

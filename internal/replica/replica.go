@@ -1,20 +1,20 @@
-// Package replica removes the aprofd cluster's shared-disk assumption:
-// instead of every node reading every session's APCK checkpoint from one
-// shared directory (and the profile store living on one node's disk),
-// checkpoints are pushed peer-to-peer to ring successors over the APRR
-// wire protocol, failover nodes recover them from any replica, and the
-// content-addressed store syncs between peers by pulling only missing
-// blobs. Any R−1 node losses — SIGKILL plus a full data-directory wipe —
-// are survivable with zero shared infrastructure.
+// Package replica makes the aprofd cluster need no shared disk: each
+// node keeps every checkpoint it holds — those of the sessions it serves
+// and the replicas it stores for its peers — in one checkpoint store of
+// its own, session checkpoints are pushed peer-to-peer to ring successors
+// over the APRR wire protocol, failover nodes recover them from any
+// replica, and the content-addressed store syncs between peers by pulling
+// only missing blobs. Any R−1 node losses — SIGKILL plus a full
+// data-directory wipe — are survivable with zero shared infrastructure.
 //
 // A Node plays both sides of the protocol: it serves APRR connections
 // (multiplexed onto the node's existing ingest listener by a 4-byte magic
-// peek) and it pushes this node's session checkpoints to their replica
-// set. The replica set of a session is deterministic: the first Replicas
-// members of the consistent-hash ring sequence for the session id — the
-// same order every node computes, and the same order client failover
-// walks, so the node a client fails over to is exactly a node that holds
-// (or can cheaply reach) the checkpoint.
+// peek) and it stores this node's session checkpoints and pushes them to
+// their replica set. The replica set of a session is deterministic: the
+// first Replicas members of the consistent-hash ring sequence for the
+// session id — the same order every node computes, and the same order
+// client failover walks, so the node a client fails over to is exactly a
+// node that holds (or can cheaply reach) the checkpoint.
 package replica
 
 import (
@@ -52,7 +52,7 @@ var ErrNoReplica = server.ErrNoReplicaCheckpoint
 // Options configures a Node.
 type Options struct {
 	// Self is this node's own ring address. It is skipped when choosing
-	// push targets (this node's copy is the checkpoint file itself) but
+	// push targets (this node's copy goes to its own checkpoint store) but
 	// still counts as one of the session's Replicas copies.
 	Self string
 	// Peers is the full cluster membership — every node's ingest address,
@@ -60,19 +60,21 @@ type Options struct {
 	// of a session is a pure function of it.
 	Peers []string
 	// Replicas is the total number of checkpoint copies per session,
-	// including the primary's own file (default DefaultReplicas = 2).
+	// including the primary's own copy (default DefaultReplicas = 2).
 	Replicas int
 	// MinConfirms is how many peer confirmations a Replicate call needs
 	// before it succeeds — and therefore before the server acks the batch.
 	// Default Replicas−1: with R=2, one confirmed peer copy plus the local
-	// file survive any single node loss.
+	// copy survive any single node loss.
 	MinConfirms int
 	// VirtualNodes tunes the ring (default cluster.DefaultVirtualNodes).
 	VirtualNodes int
-	// Dir, when set, persists received checkpoint replicas to disk so they
-	// survive a restart of this node: one checkpoint log per session, each
-	// replica durable before it is confirmed (a torn write is detected and
-	// discarded on reload). Empty keeps replicas in memory only.
+	// Dir, when set, persists the node's checkpoint store to disk so it
+	// survives a restart of this node: one checkpoint log per session, for
+	// the sessions this node serves and the replicas it receives alike,
+	// each checkpoint durable before it is confirmed (a torn write is
+	// detected and discarded on reload). Empty keeps checkpoints in memory
+	// only.
 	Dir string
 	// Backend, when set, is served read-only to peers over APRR (load and
 	// list of packs, snapshots, index caches) for store anti-entropy sync.
@@ -102,6 +104,7 @@ type replicaMetrics struct {
 	servedLoads   *obs.Counter
 	servedLists   *obs.Counter
 	redials       *obs.Counter
+	appendUS      *obs.Histogram
 }
 
 func newReplicaMetrics(reg *obs.Registry) replicaMetrics {
@@ -118,6 +121,7 @@ func newReplicaMetrics(reg *obs.Registry) replicaMetrics {
 		servedLoads:   s.Counter("backend_loads_served"),
 		servedLists:   s.Counter("backend_lists_served"),
 		redials:       s.Counter("peer_redials"),
+		appendUS:      s.Histogram("checkpoint_append_us"),
 	}
 }
 
@@ -193,14 +197,15 @@ func NewNode(o Options) (*Node, error) {
 		return nil, fmt.Errorf("replica: MinConfirms %d exceeds the %d non-primary replicas",
 			o.MinConfirms, o.Replicas-1)
 	}
-	store, err := openCkptStore(o.Dir)
+	m := newReplicaMetrics(o.Obs)
+	store, err := openCkptStore(o.Dir, m.appendUS)
 	if err != nil {
 		return nil, err
 	}
 	return &Node{
 		opts:  o,
 		ring:  ring,
-		m:     newReplicaMetrics(o.Obs),
+		m:     m,
 		store: store,
 		conns: make(map[string]*peerConn),
 	}, nil
@@ -222,12 +227,32 @@ func (n *Node) ReplicaSet(session string) []string {
 	return seq
 }
 
-// Replicate pushes a checkpoint (seq = its delivered-event count) to the
-// session's replica set, walking the ring past it if a member is down,
-// until MinConfirms peers have confirmed. It returns an error — and the
-// caller must not ack the batch — when fewer confirmations are reachable:
-// an ack must never promise durability the cluster doesn't have.
+// Replicate makes a checkpoint (seq = its delivered-event count) durable
+// on the session's replica set: it stores a copy in this node's own
+// checkpoint store and, in parallel, pushes the checkpoint to the ring
+// successors, walking past any member that is down, until MinConfirms
+// peers have confirmed. It returns only once the local put has finished,
+// so data may be reused afterwards. It returns an error — and the caller
+// must not ack the batch — when the local put fails or fewer confirmations
+// are reachable: an ack must never promise durability the cluster doesn't
+// have.
 func (n *Node) Replicate(session string, seq uint64, data []byte) error {
+	local := make(chan error, 1)
+	go func() {
+		// A stale local put means this node already holds a newer copy.
+		_, _, err := n.store.put(session, seq, data)
+		local <- err
+	}()
+	err := n.push(session, seq, data)
+	if lerr := <-local; lerr != nil {
+		err = errors.Join(fmt.Errorf("replica: checkpoint %s seq %d: local copy: %w", session, seq, lerr), err)
+	}
+	return err
+}
+
+// push sends a checkpoint to the session's ring successors until
+// MinConfirms of them have confirmed.
+func (n *Node) push(session string, seq uint64, data []byte) error {
 	confirms := 0
 	var lastErr error
 	for _, peer := range n.ring.Sequence(session) {
@@ -269,7 +294,7 @@ func (n *Node) Replicate(session string, seq uint64, data []byte) error {
 }
 
 // Recover fetches the freshest checkpoint replica for a session: this
-// node's own replica store plus every peer, highest sequence wins. Peers
+// node's own checkpoint store plus every peer, highest sequence wins. Peers
 // that are down are skipped — that is the point. ErrNoReplica means no
 // reachable member holds one (a genuinely fresh session looks the same).
 func (n *Node) Recover(session string) (uint64, []byte, error) {

@@ -8,26 +8,31 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"time"
 
 	"aprof/internal/core"
+	"aprof/internal/obs"
 	"aprof/internal/profio"
 )
 
-// ckptStore holds the checkpoint replicas this node stores on behalf of
-// its peers, keyed by session id with a monotonic sequence number (the
-// checkpoint's delivered-event count). Puts with a sequence at or below
-// the stored one are rejected as stale: a delayed push from a primary
-// that has since failed over can never roll a replica backwards.
+// ckptStore is the node's one checkpoint store: it holds the checkpoints
+// of the sessions this node serves and the replicas it stores on behalf of
+// its peers alike, keyed by session id with a monotonic sequence number
+// (the checkpoint's delivered-event count). Puts with a sequence at or
+// below the stored one are rejected as stale: a delayed push from a
+// primary that has since failed over can never roll a copy backwards.
 //
-// With a directory configured, every accepted replica is appended to the
+// With a directory configured, every accepted checkpoint is appended to the
 // session's checkpoint log (profio.CheckpointLog, <dir>/<session>.rck) and
-// is durable before the put is confirmed; the logs are reloaded on open, so
-// a restarted node still serves the replicas it had confirmed. A log
+// is durable before the put returns; the logs are reloaded on open, so a
+// restarted node still serves the checkpoints it had confirmed. A log
 // without an intact record — a torn write, bit rot, or a file of the
 // pre-log RCK1 format — is discarded on reload, and so is the temp file a
 // crash inside a log replacement leaves behind.
 type ckptStore struct {
 	dir string
+	// appendUS times each accepted put: the log append and its fsync.
+	appendUS *obs.Histogram
 
 	mu   sync.Mutex
 	byID map[string]*ckptEntry
@@ -42,8 +47,8 @@ type ckptEntry struct {
 // ckptFileExt is the file extension of the replica logs.
 const ckptFileExt = ".rck"
 
-func openCkptStore(dir string) (*ckptStore, error) {
-	s := &ckptStore{dir: dir, byID: make(map[string]*ckptEntry)}
+func openCkptStore(dir string, appendUS *obs.Histogram) (*ckptStore, error) {
+	s := &ckptStore{dir: dir, appendUS: appendUS, byID: make(map[string]*ckptEntry)}
 	if dir == "" {
 		return s, nil
 	}
@@ -81,10 +86,9 @@ func openCkptStore(dir string) (*ckptStore, error) {
 	return s, nil
 }
 
-// put stores a replica if seq is newer than what is held. It returns the
-// held sequence and whether the put was accepted. An accepted put keeps
-// data itself (each request arrives in a fresh buffer), so the caller must
-// not change it afterwards.
+// put stores a checkpoint if seq is newer than what is held. It returns
+// the held sequence and whether the put was accepted. An accepted put keeps
+// a copy of data, so the caller may reuse its buffer once put returns.
 func (s *ckptStore) put(session string, seq uint64, data []byte) (uint64, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,6 +96,7 @@ func (s *ckptStore) put(session string, seq uint64, data []byte) (uint64, bool, 
 	if e != nil && e.seq >= seq {
 		return e.seq, false, nil
 	}
+	start := time.Now()
 	if e == nil {
 		e = &ckptEntry{}
 		if s.dir != "" {
@@ -107,7 +112,9 @@ func (s *ckptStore) put(session string, seq uint64, data []byte) (uint64, bool, 
 			return 0, false, fmt.Errorf("replica: persisting checkpoint: %w", err)
 		}
 	}
-	e.seq, e.data = seq, data
+	// The entry's buffer is reused: get hands out copies only.
+	e.seq, e.data = seq, append(e.data[:0], data...)
+	s.appendUS.Observe(uint64(time.Since(start).Microseconds()))
 	return seq, true, nil
 }
 

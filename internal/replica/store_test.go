@@ -10,7 +10,7 @@ import (
 )
 
 func TestCkptStoreStaleRejection(t *testing.T) {
-	s, err := openCkptStore("")
+	s, err := openCkptStore("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestCkptStoreStaleRejection(t *testing.T) {
 
 func TestCkptStorePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := openCkptStore(dir)
+	s, err := openCkptStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCkptStorePersistsAcrossReopen(t *testing.T) {
 
 	// A "restarted" node (fresh store over the same dir) still serves the
 	// replica it confirmed.
-	s2, err := openCkptStore(dir)
+	s2, err := openCkptStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCkptStorePersistsAcrossReopen(t *testing.T) {
 	if _, _, ok := s2.get("build-42"); ok {
 		t.Fatal("dropped session still served")
 	}
-	s3, err := openCkptStore(dir)
+	s3, err := openCkptStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCkptStorePersistsAcrossReopen(t *testing.T) {
 // so is the temp file a crash inside a log replacement leaves behind.
 func TestCkptStoreDiscardsTornFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := openCkptStore(dir)
+	s, err := openCkptStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCkptStoreDiscardsTornFiles(t *testing.T) {
 		}
 	}
 
-	s2, err := openCkptStore(dir)
+	s2, err := openCkptStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCkptStoreDiscardsTornFiles(t *testing.T) {
 	if _, ok, err := s2.put("good", 8, []byte("newer")); err != nil || !ok {
 		t.Fatalf("put after reload: ok=%v err=%v", ok, err)
 	}
-	s3, err := openCkptStore(dir)
+	s3, err := openCkptStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ package client
 //   - mid-stream failure  -> retry the same node first: it holds the
 //     session's checkpoint, so staying put resumes from the highest acked
 //     offset. Only after FailoverAfter consecutive failures is the node
-//     abandoned for its successor (where, with a shared checkpoint
-//     directory, the session still resumes from the acked offset).
+//     abandoned for its successor (where, recovering the checkpoint from
+//     the session's replica set, the session still resumes from the acked
+//     offset).
 //
 // Wherever the session lands, resume-by-resend replays the exact event
 // prefix the adopted checkpoint accounts for, so the final profile is

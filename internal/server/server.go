@@ -72,7 +72,8 @@ type Options struct {
 	// CheckpointDir, when set, makes sessions durable: each session appends
 	// its checkpoints to the log <dir>/<id>.apck (a profio.CheckpointLog),
 	// interrupted sessions resume from it on reconnect, and a graceful
-	// drain checkpoints everything in flight.
+	// drain checkpoints everything in flight. It is unused when Replica is
+	// set: the replica node's checkpoint store then holds every checkpoint.
 	CheckpointDir string
 	// ResultDir, when set, also writes each completed profile to
 	// <dir>/<id>.json (atomically: temp file, fsync, rename).
@@ -97,13 +98,10 @@ type Options struct {
 	// Replica, when set, switches the daemon to replicated-checkpoint mode:
 	// APRR replication connections are served off the same listen port,
 	// batch acks coalesce to checkpoint boundaries, every boundary's
-	// checkpoint is confirmed on the session's replica set before the ack
-	// is written, and session start recovers the newest replicated
-	// checkpoint when the local file is missing or older — removing the
-	// shared-checkpoint-directory requirement for cluster failover. With
-	// Replica set and CheckpointDir empty, a private scratch directory is
-	// created automatically (satisfying the durability invariant without
-	// any shared disk).
+	// checkpoint is stored by the replica node — in its own checkpoint
+	// store and on the session's replica set — before the ack is written,
+	// and session start recovers the newest checkpoint the replica set
+	// holds. Sessions are durable with no shared disk.
 	Replica ReplicaService
 	// Obs receives daemon metrics under scope "server" (nil disables).
 	Obs *obs.Registry
@@ -194,13 +192,9 @@ type Server struct {
 	wg       sync.WaitGroup
 	draining atomic.Bool
 	// aborted distinguishes a hard Abort (the in-process SIGKILL stand-in)
-	// from a graceful drain: an aborted node must not push final
-	// checkpoints — a killed process could not have either.
+	// from a graceful drain: an aborted replicating node must not commit
+	// final checkpoints — a killed process could not have either.
 	aborted atomic.Bool
-	// initErr, when non-nil, fails every session at the handshake: the
-	// server could not establish its durability invariant (e.g. the
-	// replicated-mode scratch checkpoint dir could not be created).
-	initErr error
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
@@ -226,28 +220,14 @@ func New(opts Options) *Server {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = DefaultWriteTimeout
 	}
-	var initErr error
-	if opts.Replica != nil && opts.CheckpointDir == "" {
-		// Replicated mode keeps its durability invariant (checkpoint on
-		// disk before every ack) without any shared directory: sessions
-		// checkpoint into a private scratch dir and the replica set holds
-		// the copies that matter. The shared-dir requirement is gone.
-		dir, err := os.MkdirTemp("", "aprofd-ckpt-")
-		if err != nil {
-			initErr = fmt.Errorf("server: replicated mode needs a checkpoint dir and none could be created: %w", err)
-		} else {
-			opts.CheckpointDir = dir
-		}
-	}
-	if opts.CheckpointDir != "" {
-		sweepStrayTemps(opts.CheckpointDir, time.Now())
+	if opts.CheckpointDir != "" && opts.Replica == nil {
+		sweepStrayTemps(opts.CheckpointDir)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		opts:      opts,
 		m:         newServerMetrics(opts.Obs),
 		adm:       newAdmission(opts.MaxSessions, opts.Admission, opts.Obs),
-		initErr:   initErr,
 		ctx:       ctx,
 		cancel:    cancel,
 		conns:     make(map[net.Conn]struct{}),
@@ -432,12 +412,6 @@ func (s *Server) session(conn net.Conn) {
 		writeResponse(conn, s.opts.WriteTimeout, StatusBusy, 0, "server draining")
 		return
 	}
-	if s.initErr != nil {
-		// The durability invariant could not be established at startup;
-		// refusing sessions beats accepting them without it.
-		writeResponse(conn, s.opts.WriteTimeout, StatusError, 0, s.initErr.Error())
-		return
-	}
 
 	// Backpressure: one slot per session up to the admission limit, then
 	// explicit shedding. A busy response costs the daemon almost nothing;
@@ -458,16 +432,17 @@ func (s *Server) session(conn net.Conn) {
 	var ckptPath string
 	var resumeDoc []byte
 	var resumeState *core.StreamState
-	if s.opts.CheckpointDir != "" {
+	switch {
+	case s.opts.Replica != nil:
+		// No shared directory: a failover node (or one whose disk was
+		// wiped) recovers the checkpoint from the session's replica set.
+		resumeDoc, resumeState = s.recoverFromReplicas(hs.id)
+	case s.opts.CheckpointDir != "":
 		ckptPath = filepath.Join(s.opts.CheckpointDir, hs.id+ckptExt)
 		ckptLog = profio.NewCheckpointLog(ckptPath)
 		resumeDoc, resumeState = s.localCheckpoint(hs.id, ckptPath)
-		if s.opts.Replica != nil {
-			// No shared directory: a failover node (or one whose disk was
-			// wiped) recovers the checkpoint from the session's replica set.
-			resumeDoc, resumeState = s.recoverFromReplicas(hs.id, ckptLog, resumeDoc, resumeState)
-		}
 	}
+	durable := ckptLog != nil || s.opts.Replica != nil
 
 	status, offset := StatusOK, uint64(0)
 	if resumeState != nil {
@@ -486,9 +461,10 @@ func (s *Server) session(conn net.Conn) {
 	defer s.m.active.Add(-1)
 
 	// pending is the boundary checkpoint the pipeline encoded right before
-	// the batch hook below runs. The hook makes it durable — appended
-	// locally and, in replicated mode, confirmed by the replica set — before
-	// the ack goes out, so an acknowledged event always survives the loss of
+	// the batch hook below runs. The hook makes it durable — appended to the
+	// local log or, in replicated mode, stored by the replica node and
+	// confirmed by the replica set — before the ack goes out, so an
+	// acknowledged event survives a restart and, replicated, the loss of
 	// this node, disk included. Committing from the hook, not the sink,
 	// keeps the order a session shows the outside: batch hook, checkpoint,
 	// ack.
@@ -499,7 +475,7 @@ func (s *Server) session(conn net.Conn) {
 		BatchSize:       s.opts.BatchSize,
 		CheckpointEvery: s.opts.CheckpointEvery,
 		Lenient:         hs.lenient,
-		FinalCheckpoint: ckptLog != nil,
+		FinalCheckpoint: durable,
 		OnBatch: func(batch int, d uint64) error {
 			delivered = d
 			if s.opts.OnSessionBatch != nil {
@@ -511,7 +487,7 @@ func (s *Server) session(conn net.Conn) {
 			if pending != nil {
 				doc := pending
 				pending = nil
-				if err := s.commitCheckpoint(hs.id, ckptLog, doc, pendingSeq, s.opts.Replica != nil); err != nil {
+				if err := s.commitCheckpoint(hs.id, ckptLog, doc, pendingSeq); err != nil {
 					return err
 				}
 			} else if s.opts.Replica != nil {
@@ -525,7 +501,7 @@ func (s *Server) session(conn net.Conn) {
 			return nil
 		},
 	}
-	if ckptLog != nil {
+	if durable {
 		opts.CheckpointSink = func(doc []byte, state core.StreamState) error {
 			pending, pendingSeq = doc, state.EventsDelivered
 			return nil
@@ -539,16 +515,14 @@ func (s *Server) session(conn net.Conn) {
 		ps, err = profio.ProfileStream(s.ctx, br, s.opts.Config, opts)
 	}
 	if err != nil {
-		if pending != nil {
-			// The run stopped with a checkpoint not yet durable: the final
-			// one the pipeline takes on its way out, capturing the last
-			// profiled batch. A graceful drain also pushes it, so this
-			// node's progress survives even if its disk never comes back.
-			// An Abort (the in-process SIGKILL stand-in) does not push — a
-			// killed process could not have, and the chaos harness must
-			// not measure a fidelity the real signal does not have.
-			push := s.opts.Replica != nil && s.ctx.Err() != nil && !s.aborted.Load()
-			if cerr := s.commitCheckpoint(hs.id, ckptLog, pending, pendingSeq, push); cerr != nil {
+		// The run stopped with a checkpoint not yet durable: the final one
+		// the pipeline takes on its way out, capturing the last profiled
+		// batch. It is committed like a boundary's, except that an aborted
+		// replicating node (the in-process SIGKILL stand-in) commits
+		// nothing: a killed process could not have, and the chaos harness
+		// must not measure a fidelity the real signal does not have.
+		if pending != nil && (s.opts.Replica == nil || !s.aborted.Load()) {
+			if cerr := s.commitCheckpoint(hs.id, ckptLog, pending, pendingSeq); cerr != nil {
 				s.logf("aprofd: session %s: final checkpoint: %v", hs.id, cerr)
 			}
 		}
@@ -569,8 +543,8 @@ func (s *Server) session(conn net.Conn) {
 		os.Remove(ckptPath)
 	}
 	if s.opts.Replica != nil {
-		// Retire the replica copies too, best-effort: a leftover replica is
-		// rejected by its sequence number if the id is ever reused.
+		// Retire the checkpoint copies too, this node's included,
+		// best-effort.
 		s.opts.Replica.Drop(hs.id)
 	}
 	s.m.sessionsDone.Inc()
@@ -581,25 +555,16 @@ func (s *Server) session(conn net.Conn) {
 // CheckpointDir.
 const ckptExt = ".apck"
 
-// strayTempAge is how long before a daemon's start a checkpoint temp file
-// must have been last written for the start to remove it. A directory may
-// be shared by several live nodes; a temp file one of them is still
-// writing or about to rename was written moments ago, and is left alone.
-const strayTempAge = time.Minute
-
 // sweepStrayTemps removes the temp files a crash inside a checkpoint log
-// replacement left in dir, in one directory read: those last written more
-// than strayTempAge before start.
-func sweepStrayTemps(dir string, start time.Time) {
+// replacement left in dir, in one directory read. The directory belongs to
+// this daemon alone, so no other process can be writing one of them.
+func sweepStrayTemps(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if e.IsDir() || !profio.StrayCheckpointTemp(e.Name(), ckptExt) {
-			continue
-		}
-		if info, err := e.Info(); err == nil && info.ModTime().Before(start.Add(-strayTempAge)) {
+		if !e.IsDir() && profio.StrayCheckpointTemp(e.Name(), ckptExt) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
@@ -625,74 +590,59 @@ func (s *Server) localCheckpoint(id, path string) ([]byte, *core.StreamState) {
 	return nil, nil
 }
 
-// recoverFromReplicas adopts the newest replicated checkpoint when it is
-// ahead of (or replaces a missing) local one. The replica's exact bytes
-// are appended to the local log and resumed from, so the session continues
-// from precisely what the origin node wrote — output stays byte-identical
-// to an uninterrupted run.
-func (s *Server) recoverFromReplicas(id string, log *profio.CheckpointLog, doc []byte, local *core.StreamState) ([]byte, *core.StreamState) {
-	seq, data, err := s.opts.Replica.Recover(id)
+// recoverFromReplicas adopts the newest checkpoint the replica set holds,
+// this node's own store included. The replica's exact bytes are resumed
+// from, so the session continues from precisely what the origin node
+// wrote — output stays byte-identical to an uninterrupted run. An unusable
+// checkpoint is dropped from the replica set before the session starts
+// fresh: left there, it would outrank every checkpoint the new run pushes,
+// which the replicas would then refuse as stale.
+func (s *Server) recoverFromReplicas(id string) ([]byte, *core.StreamState) {
+	_, data, err := s.opts.Replica.Recover(id)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrNoReplicaCheckpoint):
-		return doc, local
+		return nil, nil
 	default:
 		s.logf("aprofd: session %s: replica recovery: %v", id, err)
-		return doc, local
-	}
-	if local != nil && seq <= local.EventsDelivered {
-		return doc, local
+		return nil, nil
 	}
 	state, perr := core.ReadCheckpointState(bytes.NewReader(data), s.opts.Config)
 	if perr != nil {
 		s.m.ckptDiscarded.Inc()
-		s.logf("aprofd: session %s: replicated checkpoint unusable: %v", id, perr)
-		return doc, local
-	}
-	if werr := log.Append(state.EventsDelivered, data); werr != nil {
-		s.logf("aprofd: session %s: writing recovered checkpoint: %v", id, werr)
-		return doc, local
+		s.logf("aprofd: session %s: replicated checkpoint unusable, dropping it: %v", id, perr)
+		s.opts.Replica.Drop(id)
+		return nil, nil
 	}
 	s.m.replicaAdopted.Inc()
 	s.logf("aprofd: session %s: recovered checkpoint from replica set (%d events)", id, state.EventsDelivered)
 	return data, &state
 }
 
-// commitCheckpoint makes one checkpoint durable: it appends doc to the
-// session's log and, with push, sends the same bytes to the replica set
-// concurrently. It returns nil only once the local fsync has succeeded and,
-// with push, the replica set has confirmed. A failure fails the session
+// commitCheckpoint makes one checkpoint durable: in replicated mode the
+// replica node stores it and confirms it on the replica set; otherwise it
+// is appended to the session's log. A failure fails the session
 // transiently — the unconfirmed events were never acked, so a reconnect
 // (to this node or a failover target) resumes from the last confirmed
 // checkpoint.
-func (s *Server) commitCheckpoint(id string, log *profio.CheckpointLog, doc []byte, seq uint64, push bool) error {
-	var pushErr error
-	var pushed chan struct{}
-	if push {
-		pushed = make(chan struct{})
-		go func() {
-			defer close(pushed)
-			start := time.Now()
-			pushErr = s.opts.Replica.Replicate(id, seq, doc)
-			s.m.replicate.Observe(uint64(time.Since(start).Microseconds()))
-		}()
-	}
+func (s *Server) commitCheckpoint(id string, log *profio.CheckpointLog, doc []byte, seq uint64) error {
 	start := time.Now()
-	err := log.Append(seq, doc)
-	s.m.ckptAppend.Observe(uint64(time.Since(start).Microseconds()))
-	if err != nil {
-		err = fmt.Errorf("server: writing checkpoint at %d events: %w", seq, err)
-	}
-	if pushed != nil {
-		<-pushed
-		if pushErr != nil {
-			s.m.replicaFailed.Inc()
-			pushErr = fmt.Errorf("server: replicating checkpoint at %d events: %w", seq, pushErr)
-		} else {
-			s.m.replicaPushed.Inc()
+	if s.opts.Replica == nil {
+		err := log.Append(seq, doc)
+		s.m.ckptAppend.Observe(uint64(time.Since(start).Microseconds()))
+		if err != nil {
+			return fmt.Errorf("server: writing checkpoint at %d events: %w", seq, err)
 		}
+		return nil
 	}
-	return errors.Join(err, pushErr)
+	err := s.opts.Replica.Replicate(id, seq, doc)
+	s.m.replicate.Observe(uint64(time.Since(start).Microseconds()))
+	if err != nil {
+		s.m.replicaFailed.Inc()
+		return fmt.Errorf("server: replicating checkpoint at %d events: %w", seq, err)
+	}
+	s.m.replicaPushed.Inc()
+	return nil
 }
 
 // failSession classifies a session error, records metrics, and tells the
