@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz faults chaos chaos-replica store-torture bench bench-baseline bench-all cover experiments examples clean
+.PHONY: all build test vet lint race fuzz faults chaos chaos-replica store-torture bench-all cover experiments examples clean
 
 all: build test
 
@@ -69,18 +69,21 @@ chaos:
 # Nodes share no disk: node kills at every batch index WITH full data-dir
 # wipes (checkpoint store and profile store lost) recovered purely from
 # the APRR replica set, a restarted owner resuming from its own checkpoint
-# store, an unusable checkpoint dropped from the replica set, torn
-# replication-link sweeps, seed-swept client link chaos and half-open
-# links, busy-shed rerouting, health-based routing around dead nodes, the
-# fan-out view of a migrated session, partition-interrupted store sync
-# with idempotent re-sync, the replication and client failover leak
-# audits, the APRR wire / checkpoint-store unit sweeps, the ring, health
-# and fan-out unit tests, and the three-binary cluster end-to-end test
-# with the refused flag combinations.
+# store, an unusable checkpoint dropped from the replica set, a reused
+# session id whose stale copy is dropped, torn replication-link sweeps,
+# seed-swept client link chaos and half-open links, busy-shed rerouting,
+# health-based routing around dead nodes, the fan-out view of a migrated
+# session, partition-interrupted store sync with idempotent re-sync, the
+# replication and client failover leak audits, the APRR wire unit sweeps,
+# the checkpoint-store sweeps (stale puts, reload of torn logs and stray
+# temp files, one session's held append not blocking another's put), the
+# ring, health and fan-out unit tests, and the three-binary cluster
+# end-to-end test with the refused flag combinations.
 chaos-replica:
 	$(GO) test -race -timeout 90s -count=1 \
-		-run 'TestReplica|TestCkptStore|TestNewNode|TestPeerBackend|TestRoundTrip' \
+		-run 'TestReplica|TestNewNode|TestPeerBackend|TestRoundTrip' \
 		./internal/replica
+	$(GO) test -race -timeout 90s -count=1 -run 'TestCkptStore' ./internal/profio
 	$(GO) test -race -timeout 90s -count=1 ./internal/replica/wire
 	$(GO) test -race -timeout 90s -count=1 ./internal/cluster
 	$(GO) test -race -timeout 90s -count=1 -run 'TestSync|TestRetention' ./internal/repo
@@ -98,21 +101,9 @@ store-torture:
 	$(GO) test -race -timeout 90s -count=1 ./internal/repo/... ./internal/faultio
 	$(GO) test -race -timeout 90s -count=1 -run 'TestStore' ./internal/server ./cmd/aprofd
 
-# Benchmark-regression harness: run the hot-path benchmarks (core, shadow,
-# profio, obs) with -benchmem and diff ns/op against the committed
-# BENCH_core.json baseline (±15%). Reports only — benchdiff exits 0 even on
-# regressions (add -exit-code for a hard local gate).
-BENCH_PKGS = ./internal/core ./internal/shadow ./internal/profio ./internal/obs
-bench:
-	$(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS) | tee bench_output.txt
-	$(GO) run ./internal/tools/benchdiff bench_output.txt
-
-# Refresh the baseline after an intentional perf change (idle machine!).
-bench-baseline:
-	$(GO) test -run xxx -bench . -benchmem $(BENCH_PKGS) | tee bench_output.txt
-	$(GO) run ./internal/tools/benchdiff -update bench_output.txt
-
-# Every benchmark in the repo, including the end-to-end experiment ones.
+# Every Go benchmark in the repo, including the end-to-end experiment ones:
+# diagnostics only. Performance claims are measured with perfbench/run.sh
+# and recorded in BENCH_RECORD.md.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -188,7 +188,7 @@ func BenchmarkVMInterpreter(b *testing.B) {
 	}
 }
 
-// --- Concurrent pipeline benchmarks (BENCH_pipeline.json) ---------------
+// --- Concurrent pipeline benchmarks -------------------------------------
 
 // benchStreamBytes encodes the shared micro-trace once; the stream
 // benchmarks replay it from memory so only decode+profile cost is measured.
@@ -264,8 +264,8 @@ func BenchmarkMergeRunsFold(b *testing.B) {
 
 // BenchmarkRunConcurrent profiles 8 independent random traces with varying
 // pool widths; workers=1 is the sequential baseline, workers=0 uses
-// GOMAXPROCS. The speedup column of BENCH_pipeline.json is the ratio of the
-// two (on a multi-core host; on a single core they coincide).
+// GOMAXPROCS. Their ratio is the pool's speedup (on a multi-core host; on
+// a single core they coincide).
 func BenchmarkRunConcurrent(b *testing.B) {
 	const jobsN = 8
 	traces := make([]*Trace, jobsN)

@@ -13,10 +13,13 @@
 //
 // Sessions are panic-isolated and deadline-guarded; beyond -max-sessions
 // the daemon sheds load with an explicit busy response instead of
-// queueing. With -checkpoint-dir every session is durable: interrupted
-// uploads resume from the last acknowledged batch, and SIGINT/SIGTERM
-// drains gracefully — stop accepting, checkpoint everything in flight,
-// exit — so a restarted daemon loses nothing. A second signal aborts hard.
+// queueing. With -checkpoint-dir every session is durable: the node keeps
+// its sessions' checkpoints in a checkpoint store in that directory, the
+// same store a cluster member keeps under -replica-dir, interrupted
+// uploads resume from the last checkpoint, and SIGINT/SIGTERM drains
+// gracefully — stop accepting, checkpoint everything in flight, exit — so
+// a restarted daemon loses nothing. A single node acks every batch. A
+// second signal aborts hard.
 //
 // With -store, completed profiles are persisted into a content-addressed
 // profile repository (one SHA-256-addressed blob per profile, checksummed,
@@ -33,11 +36,12 @@
 // -replica-dir (default <store>/replica): its own sessions' checkpoints
 // and the copies it holds for its peers. Each session's checkpoint is
 // stored there and pushed to its ring successors before any batch is
-// acknowledged, failover nodes recover checkpoints from the replica set,
-// and the profile store anti-entropy loop (-sync-every) pulls every
-// peer's missing blobs so /profiles/ serves every acked session even
-// after a node's disk is lost. Replication shares the -addr port;
-// -checkpoint-dir is for a single node and is refused with it.
+// acknowledged, so acks come at checkpoint boundaries; failover nodes
+// recover checkpoints from the replica set, and the profile store
+// anti-entropy loop (-sync-every) pulls every peer's missing blobs so
+// /profiles/ serves every acked session even after a node's disk is lost.
+// Replication shares the -addr port; -checkpoint-dir is for a single node
+// and is refused with it.
 // -cluster-peers lists the other members' debug HTTP addresses: /profiles/
 // then serves the merged cluster-wide view instead of only this node's
 // share.
@@ -70,7 +74,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "localhost:7071", "TCP address to accept trace streams on")
 		debugAddr = flag.String("debug-addr", "", "serve metrics, pprof and /profiles/ on this HTTP address")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-session checkpoints of a single node (enables resume and drain durability; not with -replicate-peers)")
+		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint store directory of a single node, one <session>.rck log per session (enables resume and drain durability; not with -replicate-peers, whose store is -replica-dir)")
 		resultDir = flag.String("result-dir", "", "directory to write completed profiles to as <session>.json")
 		storeDir  = flag.String("store", "", "profile repository directory (content-addressed, deduplicated, crash-safe); created if missing")
 		metric    = flag.String("metric", "drms", "input metric: drms, rms, or external-only")

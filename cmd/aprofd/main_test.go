@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -31,21 +32,27 @@ func buildBinary(t *testing.T, dir, name, srcPkg string) string {
 	return bin
 }
 
-// waitLine scans lines until match returns a result, with a deadline.
+// waitLine scans lines until match returns a result, with a deadline. A
+// failure quotes the last lines the daemon printed, which say why it did
+// not get there.
 func waitLine(t *testing.T, lines <-chan string, what string, match func(string) (string, bool)) string {
 	t.Helper()
 	deadline := time.After(10 * time.Second)
+	var tail []string
 	for {
 		select {
 		case line, ok := <-lines:
 			if !ok {
-				t.Fatalf("daemon exited before printing %s", what)
+				t.Fatalf("daemon exited before printing %s; its last stderr lines:\n%s", what, strings.Join(tail, "\n"))
 			}
 			if v, ok := match(line); ok {
 				return v
 			}
+			if tail = append(tail, line); len(tail) > 10 {
+				tail = tail[1:]
+			}
 		case <-deadline:
-			t.Fatalf("timed out waiting for %s", what)
+			t.Fatalf("timed out waiting for %s; the daemon's last stderr lines:\n%s", what, strings.Join(tail, "\n"))
 		}
 	}
 }
@@ -64,7 +71,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	tr := trace.Random(trace.RandomConfig{Seed: 40, Ops: 1500, Threads: 3})
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	enc := buf.Bytes()
@@ -217,7 +224,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	tr := trace.Random(trace.RandomConfig{Seed: 41, Ops: 1200, Threads: 3})
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	enc := buf.Bytes()
@@ -286,18 +293,39 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// reservePorts binds n loopback ports and releases them, returning their
-// addresses for daemons that must know the whole membership up front.
+// reservePorts returns n free loopback addresses for daemons that must
+// know the whole membership up front. The ports lie below the kernel's
+// ephemeral range: a port in it, once released here, can be handed out
+// again before the daemon binds it — to a ":0" bind such as -debug-addr,
+// or as the source port of a peer dial. Below the range only an explicit
+// bind takes a port. The probe starts at a pid-derived offset, so
+// concurrent test processes rarely contend for the same ports.
 func reservePorts(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	const base = 10000
+	end := 32768 // Linux's default first ephemeral port
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(b)); len(f) == 2 {
+			if lo, err := strconv.Atoi(f[0]); err == nil {
+				end = lo
+			}
 		}
-		addrs[i] = ln.Addr().String()
+	}
+	if end-base < 100*n {
+		t.Fatalf("the ephemeral port range starts at %d: no room below it", end)
+	}
+	var addrs []string
+	for port := base + os.Getpid()%(end-base-50*n); len(addrs) < n && port < end; port++ {
+		addr := fmt.Sprintf("127.0.0.1:%d", port)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			continue
+		}
 		ln.Close()
+		addrs = append(addrs, addr)
+	}
+	if len(addrs) < n {
+		t.Fatalf("found %d free ports below %d, want %d", len(addrs), end, n)
 	}
 	return addrs
 }

@@ -34,7 +34,7 @@ func TestStoreEndToEnd(t *testing.T) {
 	writeTrace := func(name string, seed int64) string {
 		tr := trace.Random(trace.RandomConfig{Seed: seed, Ops: 1200, Threads: 3})
 		var buf bytes.Buffer
-		if err := trace.WriteBinary(&buf, tr); err != nil {
+		if err := trace.WriteBinary2(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, name)

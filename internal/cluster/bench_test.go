@@ -4,8 +4,7 @@ package cluster_test
 // across 1 vs 3 loopback nodes. On a multi-core host the 3-node cluster
 // decodes and profiles sessions on distinct cores and should approach a
 // linear win; on a 1-core container the nodes time-slice one CPU, so the
-// numbers measure routing + connection overhead, not scaling (the same
-// caveat as every concurrency baseline in BENCH_pipeline.json).
+// numbers measure routing + connection overhead, not scaling.
 
 import (
 	"bytes"

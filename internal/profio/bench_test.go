@@ -1,8 +1,8 @@
 package profio
 
-// Streaming-pipeline benchmarks for the BENCH_core.json regression baseline
-// (`make bench`), including the instrumented-vs-bare pair behind the ≤5%
-// observability overhead bound (obs_overhead_test.go).
+// Streaming-pipeline micro-benchmarks (diagnostics, `make bench-all`),
+// including the instrumented-vs-bare pair behind the ≤5% observability
+// overhead bound (obs_overhead_test.go).
 
 import (
 	"bytes"

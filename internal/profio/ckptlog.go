@@ -6,18 +6,18 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"strings"
 	"sync"
 
 	"aprof/internal/core"
 	"aprof/internal/repo/backend"
 )
 
-// A CheckpointLog is the one on-disk container of checkpoints: the owner's
-// copy of a session (StreamOptions.CheckpointPath, aprofd's CheckpointDir)
-// and every replica a peer holds are each one log file. Successive
-// checkpoints are appended to it as records, each made durable by one
-// fsync of the file, instead of rewriting the file per checkpoint.
+// A CheckpointLog is the one on-disk container of checkpoints: a streaming
+// run's own file (StreamOptions.CheckpointPath) and each session a
+// CheckpointStore holds, on a single aprofd node or a replicating one, are
+// one log file each. Successive checkpoints are appended to it as records,
+// each made durable by one fsync of the file, instead of rewriting the
+// file per checkpoint.
 //
 // File layout: "APCL" magic and a version byte, then records. A record is
 //
@@ -170,17 +170,4 @@ func lastCheckpointRecord(raw []byte) (seq uint64, doc []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: checkpoint log holds no intact record (torn or corrupt write)", core.ErrCheckpointCorrupt)
 	}
 	return seq, doc, nil
-}
-
-// StrayCheckpointTemp reports whether a directory entry is the temp file a
-// crash left behind inside backend.WriteAtomic while it replaced a log
-// whose name ends in ext: ".<log name>.tmp<digits>". Log files themselves
-// end in ext, so no log name matches.
-func StrayCheckpointTemp(name, ext string) bool {
-	i := strings.LastIndex(name, ".tmp")
-	if !strings.HasPrefix(name, ".") || i < 1 || !strings.HasSuffix(name[:i], ext) {
-		return false
-	}
-	digits := name[i+len(".tmp"):]
-	return digits != "" && strings.Trim(digits, "0123456789") == ""
 }

@@ -181,7 +181,7 @@ func TestCheckpointLogCrashBeforeFsync(t *testing.T) {
 func TestCheckpointLogCrashMidCompaction(t *testing.T) {
 	docs := equalDocs(ckptLogMaxRecords+2, 120)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "s.apck")
+	path := filepath.Join(dir, "s.rck")
 	log := NewCheckpointLog(path)
 	for i, doc := range docs[:ckptLogMaxRecords] {
 		if err := log.Append(uint64(i+1), doc); err != nil {
@@ -208,7 +208,7 @@ func TestCheckpointLogCrashMidCompaction(t *testing.T) {
 	}
 	var strays []string
 	for _, e := range entries {
-		if StrayCheckpointTemp(e.Name(), ".apck") {
+		if strayCheckpointTemp(e.Name()) {
 			strays = append(strays, e.Name())
 		}
 	}
@@ -229,20 +229,20 @@ func TestCheckpointLogCrashMidCompaction(t *testing.T) {
 
 func TestStrayCheckpointTemp(t *testing.T) {
 	for name, want := range map[string]bool{
-		".s.apck.tmp123":       true,
-		"..x.apck.tmp9":        true,
-		".s.apck.tmp":          false,
-		".s.apck.tmp12a":       false,
-		"s.apck.tmp123":        false,
-		".s.apck":              false,
-		".x.tmp1.apck":         false,
-		".s.rck.tmp77":         false,
-		".s.apck.tmp1.apck":    false,
-		".notes":               false,
-		".s.apck.tmp123.extra": false,
+		".s.rck.tmp123":       true,
+		"..x.rck.tmp9":        true,
+		".s.rck.tmp":          false,
+		".s.rck.tmp12a":       false,
+		"s.rck.tmp123":        false,
+		".s.rck":              false,
+		".x.tmp1.rck":         false,
+		".s.apck.tmp77":       false,
+		".s.rck.tmp1.rck":     false,
+		".notes":              false,
+		".s.rck.tmp123.extra": false,
 	} {
-		if got := StrayCheckpointTemp(name, ".apck"); got != want {
-			t.Errorf("StrayCheckpointTemp(%q) = %v, want %v", name, got, want)
+		if got := strayCheckpointTemp(name); got != want {
+			t.Errorf("strayCheckpointTemp(%q) = %v, want %v", name, got, want)
 		}
 	}
 }

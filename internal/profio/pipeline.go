@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"aprof/internal/core"
@@ -206,6 +207,11 @@ func ResumeStream(ctx context.Context, r io.Reader, checkpointPath string, cfg c
 	return ResumeStreamFrom(ctx, r, doc, cfg, opts)
 }
 
+// ErrTraceMismatch is returned by ResumeStream and ResumeStreamFrom when the
+// trace's symbol table differs from the checkpoint's: the checkpoint was
+// taken over another trace and can never resume this one.
+var ErrTraceMismatch = errors.New("profio: trace does not match checkpoint (different symbol tables)")
+
 // ResumeStreamFrom is ResumeStream from a checkpoint document already in
 // memory, such as the record a caller read and validated itself.
 func ResumeStreamFrom(ctx context.Context, r io.Reader, doc []byte, cfg core.Config, opts StreamOptions) (*core.Profiles, error) {
@@ -217,8 +223,8 @@ func ResumeStreamFrom(ctx context.Context, r io.Reader, doc []byte, cfg core.Con
 	if err != nil {
 		return nil, err
 	}
-	if !sameNames(br.Symbols().Names(), p.Symbols().Names()) {
-		return nil, errors.New("profio: trace does not match checkpoint (different symbol tables)")
+	if !slices.Equal(br.Symbols().Names(), p.Symbols().Names()) {
+		return nil, ErrTraceMismatch
 	}
 	if err := br.Skip(state.EventsDelivered); err != nil {
 		return nil, fmt.Errorf("profio: repositioning trace at event %d: %w", state.EventsDelivered, err)
@@ -227,18 +233,6 @@ func ResumeStreamFrom(ctx context.Context, r io.Reader, doc []byte, cfg core.Con
 	// checkpointed stats; discard it so the totals are not double counted.
 	br.ResetStats()
 	return runPipeline(ctx, br, p, opts, state, cfg.Obs)
-}
-
-func sameNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runPipeline drives the decode/profile pipeline to completion, starting

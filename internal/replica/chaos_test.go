@@ -57,7 +57,7 @@ func testTrace(t *testing.T, seed int64, ops int) []byte {
 	t.Helper()
 	tr := trace.Random(trace.RandomConfig{Seed: seed, Ops: ops, Threads: 3})
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -911,6 +911,63 @@ func TestReplicaOwnerRestartKeepsOwnCheckpoint(t *testing.T) {
 	}
 	if len(leaked) != 0 {
 		t.Fatalf("scratch checkpoint directories left behind: %v", leaked)
+	}
+}
+
+// TestReplicaReusedSessionIDStartsFresh: Drop is best-effort, so a peer
+// that is down when a session completes keeps its checkpoint copy and
+// serves it again once restarted. A different trace — another symbol
+// table — uploaded next under the same id adopts that copy, which can
+// never resume it: the owner must drop it from the replica set on the
+// mismatch and fail the attempt transiently, so the retry starts fresh and
+// completes byte-identical to the offline profile of the new trace.
+func TestReplicaReusedSessionIDStartsFresh(t *testing.T) {
+	first := testTrace(t, 55, 900)
+	tr := trace.Random(trace.RandomConfig{Seed: 56, Ops: 900, Threads: 3, Routines: 9})
+	var buf bytes.Buffer
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	second := buf.Bytes()
+	want := offlineProfile(t, second)
+	const id, stopAt = "reused", 29
+
+	var stopped atomic.Bool
+	var c *rcluster
+	var successor int
+	c = startReplicaCluster(t, 3, func(i int, so *server.Options, ro *replica.Options) {
+		so.OnSessionBatch = func(sid string, batch int, delivered uint64) {
+			if batch == stopAt && stopped.CompareAndSwap(false, true) {
+				c.nodes[successor].stop() // disk kept: its copy outlives the drop
+			}
+		}
+	})
+	set := c.nodes[0].node.ReplicaSet(id)
+	owner := c.index(t, set[0])
+	successor = c.index(t, set[1])
+	if _, err := client.Run(context.Background(), client.Options{
+		Addr: c.addrs[owner], SessionID: id, Open: opener(first),
+	}); err != nil {
+		t.Fatalf("first upload: %v", err)
+	}
+	if !stopped.Load() {
+		t.Fatal("the first upload ended before the successor was stopped")
+	}
+	c.restart(t, successor)
+
+	res, err := client.Run(context.Background(), client.Options{
+		Addr: c.addrs[owner], SessionID: id, Open: opener(second),
+		MaxAttempts: 5, Backoff: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("upload of the other trace: %v (result %+v)", err, res)
+	}
+	if n := c.nodes[owner].obs.Scope(server.ObsScopeServer).Counter("checkpoints_discarded").Load(); n != 1 {
+		t.Errorf("checkpoints_discarded = %d, want 1", n)
+	}
+	got, _ := c.nodes[owner].srv.Result(id)
+	if got == nil || !bytes.Equal(got.Profile, want) {
+		t.Fatal("profile differs from the offline pipeline")
 	}
 }
 

@@ -49,7 +49,7 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		if req.Session == "" {
 			return wire.Response{Status: wire.StatusErr, Msg: "replica: empty session id"}
 		}
-		haveSeq, ok, err := n.store.put(req.Session, req.Seq, req.Data)
+		haveSeq, ok, err := n.store.Put(req.Session, req.Seq, req.Data)
 		switch {
 		case err != nil:
 			return wire.Response{Status: wire.StatusErr, Msg: err.Error()}
@@ -61,13 +61,13 @@ func (n *Node) handle(req wire.Request) wire.Response {
 			return wire.Response{Status: wire.StatusOK}
 		}
 	case wire.KindGet:
-		seq, data, ok := n.store.get(req.Session)
+		seq, data, ok := n.store.Get(req.Session)
 		if !ok {
 			return wire.Response{Status: wire.StatusNotFound}
 		}
 		return wire.Response{Status: wire.StatusOK, Seq: seq, Data: data}
 	case wire.KindDrop:
-		n.store.drop(req.Session)
+		n.store.Drop(req.Session)
 		return wire.Response{Status: wire.StatusOK}
 	case wire.KindLoad:
 		h, resp := n.backendHandle(req)

@@ -27,6 +27,7 @@ import (
 
 	"aprof/internal/cluster"
 	"aprof/internal/obs"
+	"aprof/internal/profio"
 	"aprof/internal/replica/wire"
 	"aprof/internal/repo/backend"
 	"aprof/internal/server"
@@ -41,13 +42,6 @@ const (
 	DefaultDialTimeout = 2 * time.Second
 	DefaultIOTimeout   = 10 * time.Second
 )
-
-// ErrNoReplica is returned by Recover when no peer (and not this node)
-// holds a checkpoint for the session. It aliases the server package's
-// sentinel so the daemon can tell "nothing replicated" (normal for a
-// fresh session) from a transport failure through the ReplicaService
-// interface.
-var ErrNoReplica = server.ErrNoReplicaCheckpoint
 
 // Options configures a Node.
 type Options struct {
@@ -69,12 +63,10 @@ type Options struct {
 	MinConfirms int
 	// VirtualNodes tunes the ring (default cluster.DefaultVirtualNodes).
 	VirtualNodes int
-	// Dir, when set, persists the node's checkpoint store to disk so it
-	// survives a restart of this node: one checkpoint log per session, for
-	// the sessions this node serves and the replicas it receives alike,
-	// each checkpoint durable before it is confirmed (a torn write is
-	// detected and discarded on reload). Empty keeps checkpoints in memory
-	// only.
+	// Dir, when set, persists the node's checkpoint store (a
+	// profio.CheckpointStore, for the sessions this node serves and the
+	// replicas it receives alike) so it survives a restart of this node.
+	// Empty keeps checkpoints in memory only.
 	Dir string
 	// Backend, when set, is served read-only to peers over APRR (load and
 	// list of packs, snapshots, index caches) for store anti-entropy sync.
@@ -131,7 +123,7 @@ type Node struct {
 	opts  Options
 	ring  *cluster.Ring
 	m     replicaMetrics
-	store *ckptStore
+	store *profio.CheckpointStore
 
 	mu     sync.Mutex
 	conns  map[string]*peerConn
@@ -198,7 +190,7 @@ func NewNode(o Options) (*Node, error) {
 			o.MinConfirms, o.Replicas-1)
 	}
 	m := newReplicaMetrics(o.Obs)
-	store, err := openCkptStore(o.Dir, m.appendUS)
+	store, err := profio.OpenCheckpointStore(o.Dir, m.appendUS, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +232,7 @@ func (n *Node) Replicate(session string, seq uint64, data []byte) error {
 	local := make(chan error, 1)
 	go func() {
 		// A stale local put means this node already holds a newer copy.
-		_, _, err := n.store.put(session, seq, data)
+		_, _, err := n.store.Put(session, seq, data)
 		local <- err
 	}()
 	err := n.push(session, seq, data)
@@ -295,11 +287,12 @@ func (n *Node) push(session string, seq uint64, data []byte) error {
 
 // Recover fetches the freshest checkpoint replica for a session: this
 // node's own checkpoint store plus every peer, highest sequence wins. Peers
-// that are down are skipped — that is the point. ErrNoReplica means no
-// reachable member holds one (a genuinely fresh session looks the same).
+// that are down are skipped — that is the point.
+// server.ErrNoReplicaCheckpoint means no reachable member holds one (a
+// genuinely fresh session looks the same).
 func (n *Node) Recover(session string) (uint64, []byte, error) {
 	bestSeq, bestData := uint64(0), []byte(nil)
-	if seq, data, ok := n.store.get(session); ok {
+	if seq, data, ok := n.store.Get(session); ok {
 		bestSeq, bestData = seq, data
 	}
 	for _, peer := range n.opts.Peers {
@@ -317,7 +310,7 @@ func (n *Node) Recover(session string) (uint64, []byte, error) {
 	}
 	if bestData == nil {
 		n.m.recoverMissed.Inc()
-		return 0, nil, ErrNoReplica
+		return 0, nil, server.ErrNoReplicaCheckpoint
 	}
 	n.m.recovered.Inc()
 	return bestSeq, bestData, nil
@@ -328,7 +321,7 @@ func (n *Node) Recover(session string) (uint64, []byte, error) {
 // sequence, so a missed drop costs bytes, not correctness.
 func (n *Node) Drop(session string) {
 	n.m.drops.Inc()
-	n.store.drop(session)
+	n.store.Drop(session)
 	for _, peer := range n.opts.Peers {
 		if peer == n.opts.Self {
 			continue

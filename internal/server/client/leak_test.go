@@ -34,7 +34,7 @@ func testTrace(t *testing.T, seed int64, ops int) []byte {
 	t.Helper()
 	tr := trace.Random(trace.RandomConfig{Seed: seed, Ops: ops, Threads: 3})
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime/debug"
 	"slices"
@@ -69,11 +68,14 @@ type Options struct {
 	MaxConnBytes int64
 	// MaxSessionEvents caps delivered events per session (0 = unlimited).
 	MaxSessionEvents uint64
-	// CheckpointDir, when set, makes sessions durable: each session appends
-	// its checkpoints to the log <dir>/<id>.apck (a profio.CheckpointLog),
-	// interrupted sessions resume from it on reconnect, and a graceful
-	// drain checkpoints everything in flight. It is unused when Replica is
-	// set: the replica node's checkpoint store then holds every checkpoint.
+	// CheckpointDir, when set, makes sessions durable: their checkpoints go
+	// to a profio.CheckpointStore over the directory (one log per session,
+	// <dir>/<id>.rck), interrupted sessions resume from it on reconnect,
+	// and a graceful drain checkpoints everything in flight. A directory
+	// the store cannot open fails every session transiently at its first
+	// checkpoint. It is unused when Replica is set: the replica node's
+	// checkpoint store, the same kind of store, then holds every
+	// checkpoint.
 	CheckpointDir string
 	// ResultDir, when set, also writes each completed profile to
 	// <dir>/<id>.json (atomically: temp file, fsync, rename).
@@ -95,13 +97,10 @@ type Options struct {
 	// as in profio).
 	BatchSize       int
 	CheckpointEvery int
-	// Replica, when set, switches the daemon to replicated-checkpoint mode:
-	// APRR replication connections are served off the same listen port,
-	// batch acks coalesce to checkpoint boundaries, every boundary's
-	// checkpoint is stored by the replica node — in its own checkpoint
-	// store and on the session's replica set — before the ack is written,
-	// and session start recovers the newest checkpoint the replica set
-	// holds. Sessions are durable with no shared disk.
+	// Replica, when set, switches the daemon to replicated-checkpoint mode
+	// (see ReplicaService): sessions are durable with no shared disk, and
+	// batch acks coalesce to checkpoint boundaries. A single node acks
+	// every batch.
 	Replica ReplicaService
 	// Obs receives daemon metrics under scope "server" (nil disables).
 	Obs *obs.Registry
@@ -195,6 +194,10 @@ type Server struct {
 	// from a graceful drain: an aborted replicating node must not commit
 	// final checkpoints — a killed process could not have either.
 	aborted atomic.Bool
+	// ckpts commits, recovers and drops session checkpoints: the Replica
+	// service, or a single node's store over CheckpointDir. Nil without
+	// either: sessions are not durable.
+	ckpts checkpoints
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
@@ -220,11 +223,8 @@ func New(opts Options) *Server {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = DefaultWriteTimeout
 	}
-	if opts.CheckpointDir != "" && opts.Replica == nil {
-		sweepStrayTemps(opts.CheckpointDir)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		opts:      opts,
 		m:         newServerMetrics(opts.Obs),
 		adm:       newAdmission(opts.MaxSessions, opts.Admission, opts.Obs),
@@ -234,6 +234,17 @@ func New(opts Options) *Server {
 		activeIDs: make(map[string]struct{}),
 		results:   make(map[string]*SessionResult),
 	}
+	switch {
+	case opts.Replica != nil:
+		s.ckpts = opts.Replica
+	case opts.CheckpointDir != "":
+		store, err := profio.OpenCheckpointStore(opts.CheckpointDir, s.m.ckptAppend, s.m.ckptDiscarded)
+		if err != nil {
+			s.logf("aprofd: %v: sessions fail at their first checkpoint while it is unusable", err)
+		}
+		s.ckpts = localStore{store}
+	}
+	return s
 }
 
 // Start listens on addr and begins accepting connections.
@@ -428,21 +439,12 @@ func (s *Server) session(conn net.Conn) {
 	// Durability: adopt this session's checkpoint if one exists and is
 	// usable; discard it (and start fresh) if it is corrupt or was taken
 	// under a different configuration — availability over a stale file.
-	var ckptLog *profio.CheckpointLog
-	var ckptPath string
 	var resumeDoc []byte
 	var resumeState *core.StreamState
-	switch {
-	case s.opts.Replica != nil:
-		// No shared directory: a failover node (or one whose disk was
-		// wiped) recovers the checkpoint from the session's replica set.
-		resumeDoc, resumeState = s.recoverFromReplicas(hs.id)
-	case s.opts.CheckpointDir != "":
-		ckptPath = filepath.Join(s.opts.CheckpointDir, hs.id+ckptExt)
-		ckptLog = profio.NewCheckpointLog(ckptPath)
-		resumeDoc, resumeState = s.localCheckpoint(hs.id, ckptPath)
+	durable := s.ckpts != nil
+	if durable {
+		resumeDoc, resumeState = s.recoverCheckpoint(hs.id)
 	}
-	durable := ckptLog != nil || s.opts.Replica != nil
 
 	status, offset := StatusOK, uint64(0)
 	if resumeState != nil {
@@ -461,13 +463,12 @@ func (s *Server) session(conn net.Conn) {
 	defer s.m.active.Add(-1)
 
 	// pending is the boundary checkpoint the pipeline encoded right before
-	// the batch hook below runs. The hook makes it durable — appended to the
-	// local log or, in replicated mode, stored by the replica node and
-	// confirmed by the replica set — before the ack goes out, so an
-	// acknowledged event survives a restart and, replicated, the loss of
-	// this node, disk included. Committing from the hook, not the sink,
-	// keeps the order a session shows the outside: batch hook, checkpoint,
-	// ack.
+	// the batch hook below runs. The hook makes it durable — put in the
+	// node's checkpoint store and, in replicated mode, confirmed by the
+	// replica set — before the ack goes out, so an acknowledged event
+	// survives a restart and, replicated, the loss of this node, disk
+	// included. Committing from the hook, not the sink, keeps the order a
+	// session shows the outside: batch hook, checkpoint, ack.
 	var pending []byte
 	var pendingSeq uint64
 	var delivered uint64
@@ -487,7 +488,7 @@ func (s *Server) session(conn net.Conn) {
 			if pending != nil {
 				doc := pending
 				pending = nil
-				if err := s.commitCheckpoint(hs.id, ckptLog, doc, pendingSeq); err != nil {
+				if err := s.commitCheckpoint(hs.id, doc, pendingSeq); err != nil {
 					return err
 				}
 			} else if s.opts.Replica != nil {
@@ -515,6 +516,12 @@ func (s *Server) session(conn net.Conn) {
 		ps, err = profio.ProfileStream(s.ctx, br, s.opts.Config, opts)
 	}
 	if err != nil {
+		if errors.Is(err, profio.ErrTraceMismatch) {
+			// The checkpoint was taken over another trace sent under this
+			// id: it can never resume this one, so the retry must start
+			// fresh.
+			s.discardCheckpoint(hs.id, err)
+		}
 		// The run stopped with a checkpoint not yet durable: the final one
 		// the pipeline takes on its way out, capturing the last profiled
 		// batch. It is committed like a boundary's, except that an aborted
@@ -522,7 +529,7 @@ func (s *Server) session(conn net.Conn) {
 		// nothing: a killed process could not have, and the chaos harness
 		// must not measure a fidelity the real signal does not have.
 		if pending != nil && (s.opts.Replica == nil || !s.aborted.Load()) {
-			if cerr := s.commitCheckpoint(hs.id, ckptLog, pending, pendingSeq); cerr != nil {
+			if cerr := s.commitCheckpoint(hs.id, pending, pendingSeq); cerr != nil {
 				s.logf("aprofd: session %s: final checkpoint: %v", hs.id, cerr)
 			}
 		}
@@ -536,112 +543,69 @@ func (s *Server) session(conn net.Conn) {
 		writeError(conn, s.opts.WriteTimeout, true, fmt.Sprintf("storing result: %v", err))
 		return
 	}
-	if ckptPath != "" {
-		// The session is complete; its checkpoint is obsolete. A leftover
-		// file would make a future same-id session "resume" past the end
-		// of a different trace.
-		os.Remove(ckptPath)
-	}
-	if s.opts.Replica != nil {
-		// Retire the checkpoint copies too, this node's included,
-		// best-effort.
-		s.opts.Replica.Drop(hs.id)
+	if durable {
+		// The session is complete; its checkpoint is obsolete — on a
+		// replicating node its copies too, best-effort. A leftover one
+		// would make a future same-id session "resume" past the end of a
+		// different trace.
+		s.ckpts.Drop(hs.id)
 	}
 	s.m.sessionsDone.Inc()
 	writeAck(conn, s.opts.WriteTimeout, RecFinal, delivered)
 }
 
-// ckptExt is the file extension of the session checkpoint logs in
-// CheckpointDir.
-const ckptExt = ".apck"
-
-// sweepStrayTemps removes the temp files a crash inside a checkpoint log
-// replacement left in dir, in one directory read. The directory belongs to
-// this daemon alone, so no other process can be writing one of them.
-func sweepStrayTemps(dir string) {
-	entries, err := os.ReadDir(dir)
+// recoverCheckpoint adopts the newest checkpoint the node's store holds —
+// on a replicating node, the newest the replica set holds, this node's
+// store included. The stored bytes are resumed from exactly, so the
+// session continues from precisely what was written and output stays
+// byte-identical to an uninterrupted run. An unusable checkpoint is
+// discarded before the session starts fresh: left in place, it would
+// outrank every checkpoint the new run writes, which the stores would then
+// refuse as stale.
+func (s *Server) recoverCheckpoint(id string) ([]byte, *core.StreamState) {
+	_, data, err := s.ckpts.Recover(id)
 	if err != nil {
-		return
+		return nil, nil // ErrNoReplicaCheckpoint: a fresh session
 	}
-	for _, e := range entries {
-		if !e.IsDir() && profio.StrayCheckpointTemp(e.Name(), ckptExt) {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-}
-
-// localCheckpoint reads the last intact checkpoint of the session's log and
-// the stream position it resumes at. A log that holds none, or whose
-// checkpoint is corrupt or was taken under another configuration, is
-// discarded.
-func (s *Server) localCheckpoint(id, path string) ([]byte, *core.StreamState) {
-	_, doc, err := profio.ReadCheckpointLog(path)
-	if err == nil {
-		var state core.StreamState
-		if state, err = core.ReadCheckpointState(bytes.NewReader(doc), s.opts.Config); err == nil {
-			return doc, &state
-		}
-	} else if !errors.Is(err, core.ErrCheckpointCorrupt) {
+	state, err := core.ReadCheckpointState(bytes.NewReader(data), s.opts.Config)
+	if err != nil {
+		s.discardCheckpoint(id, err)
 		return nil, nil
 	}
-	s.m.ckptDiscarded.Inc()
-	s.logf("aprofd: session %s: discarding unusable checkpoint: %v", id, err)
-	os.Remove(path)
-	return nil, nil
-}
-
-// recoverFromReplicas adopts the newest checkpoint the replica set holds,
-// this node's own store included. The replica's exact bytes are resumed
-// from, so the session continues from precisely what the origin node
-// wrote — output stays byte-identical to an uninterrupted run. An unusable
-// checkpoint is dropped from the replica set before the session starts
-// fresh: left there, it would outrank every checkpoint the new run pushes,
-// which the replicas would then refuse as stale.
-func (s *Server) recoverFromReplicas(id string) ([]byte, *core.StreamState) {
-	_, data, err := s.opts.Replica.Recover(id)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrNoReplicaCheckpoint):
-		return nil, nil
-	default:
-		s.logf("aprofd: session %s: replica recovery: %v", id, err)
-		return nil, nil
+	if s.opts.Replica != nil {
+		s.m.replicaAdopted.Inc()
 	}
-	state, perr := core.ReadCheckpointState(bytes.NewReader(data), s.opts.Config)
-	if perr != nil {
-		s.m.ckptDiscarded.Inc()
-		s.logf("aprofd: session %s: replicated checkpoint unusable, dropping it: %v", id, perr)
-		s.opts.Replica.Drop(id)
-		return nil, nil
-	}
-	s.m.replicaAdopted.Inc()
-	s.logf("aprofd: session %s: recovered checkpoint from replica set (%d events)", id, state.EventsDelivered)
+	s.logf("aprofd: session %s: recovered checkpoint (%d events)", id, state.EventsDelivered)
 	return data, &state
 }
 
-// commitCheckpoint makes one checkpoint durable: in replicated mode the
-// replica node stores it and confirms it on the replica set; otherwise it
-// is appended to the session's log. A failure fails the session
-// transiently — the unconfirmed events were never acked, so a reconnect
-// (to this node or a failover target) resumes from the last confirmed
-// checkpoint.
-func (s *Server) commitCheckpoint(id string, log *profio.CheckpointLog, doc []byte, seq uint64) error {
+// discardCheckpoint drops the session's unusable checkpoint: from the
+// node's store and, on a replicating node, from the replica set.
+func (s *Server) discardCheckpoint(id string, err error) {
+	s.m.ckptDiscarded.Inc()
+	s.logf("aprofd: session %s: discarding unusable checkpoint: %v", id, err)
+	s.ckpts.Drop(id)
+}
+
+// commitCheckpoint makes one checkpoint durable: the node's store holds it
+// and, in replicated mode, the replica set confirms it. A failure fails
+// the session transiently — the unconfirmed events were never acked, so a
+// reconnect (to this node or a failover target) resumes from the last
+// confirmed checkpoint.
+func (s *Server) commitCheckpoint(id string, doc []byte, seq uint64) error {
 	start := time.Now()
-	if s.opts.Replica == nil {
-		err := log.Append(seq, doc)
-		s.m.ckptAppend.Observe(uint64(time.Since(start).Microseconds()))
+	err := s.ckpts.Replicate(id, seq, doc)
+	if s.opts.Replica != nil {
+		s.m.replicate.Observe(uint64(time.Since(start).Microseconds()))
 		if err != nil {
-			return fmt.Errorf("server: writing checkpoint at %d events: %w", seq, err)
+			s.m.replicaFailed.Inc()
+		} else {
+			s.m.replicaPushed.Inc()
 		}
-		return nil
 	}
-	err := s.opts.Replica.Replicate(id, seq, doc)
-	s.m.replicate.Observe(uint64(time.Since(start).Microseconds()))
 	if err != nil {
-		s.m.replicaFailed.Inc()
-		return fmt.Errorf("server: replicating checkpoint at %d events: %w", seq, err)
+		return fmt.Errorf("server: committing checkpoint at %d events: %w", seq, err)
 	}
-	s.m.replicaPushed.Inc()
 	return nil
 }
 
@@ -678,8 +642,8 @@ func (s *Server) acquireSlot(id string) bool {
 		return false
 	}
 	if _, busy := s.activeIDs[id]; busy {
-		// Two live connections for one id would race on one checkpoint
-		// file; the newcomer is shed like any overload.
+		// Two live connections for one id would race on the session's
+		// checkpoints; the newcomer is shed like any overload.
 		return false
 	}
 	s.activeIDs[id] = struct{}{}
