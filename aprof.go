@@ -240,7 +240,8 @@ func Summarize(ps *Profiles) RunSummary { return metrics.Summarize(ps) }
 // files the original aprof writes for aprof-plot).
 func WriteProfiles(w io.Writer, ps *Profiles) error { return profio.Write(w, ps) }
 
-// ReadProfiles deserializes profiles written by WriteProfiles.
+// ReadProfiles deserializes profiles written by WriteProfiles. It reads r
+// to EOF.
 func ReadProfiles(r io.Reader) (*Profiles, error) { return profio.Read(r) }
 
 // HTMLReportOptions controls WriteHTMLReport.

@@ -94,3 +94,31 @@ func BenchmarkWrite(b *testing.B) {
 }
 
 var benchDoc []byte
+
+// BenchmarkRead decodes profile documents as Marshal writes them: a VM
+// application's profile (~2.5 KB, the shape offline-vm reads back after
+// each op) and a ×10 suite profile (an ingest-bulk session result).
+func BenchmarkRead(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		ps   *core.Profiles
+	}{
+		{"vm", vmProfiles(b)[0]},
+		{"suite", suiteProfiles(b, 10)[0]},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			doc, err := Marshal(bc.ps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(doc)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Read(bytes.NewReader(doc)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

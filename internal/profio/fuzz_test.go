@@ -9,10 +9,14 @@ import (
 	"aprof/internal/trace"
 )
 
-// FuzzReadProfiles fuzzes the profile-file decoder: arbitrary bytes must be
-// decoded or rejected with an error — never a panic. Any document that
-// decodes must re-encode to exactly the reflective reference encoder's
-// bytes, and decoding that encoding must give back the same profiles.
+// FuzzReadProfiles fuzzes the profile-file decoder differentially: for any
+// bytes, Read and the reflective readJSON must both reject them with the
+// same error, or both accept them with equal profiles — the one-pass
+// decoder may only give up on input, never decode it differently. Any
+// document that decodes must re-encode to exactly the reflective reference
+// encoder's bytes, that encoding must take the one-pass path unless a
+// routine name needs escaping, and decoding it must give back the same
+// profiles.
 func FuzzReadProfiles(f *testing.F) {
 	for _, seed := range []int64{1, 2} {
 		tr := trace.Random(trace.RandomConfig{Seed: seed, Ops: 150})
@@ -31,9 +35,14 @@ func FuzzReadProfiles(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ps, err := Read(bytes.NewReader(data))
-		if err != nil {
+		ref, refErr := readJSON(data)
+		if err != nil || refErr != nil {
+			if err == nil || refErr == nil || err.Error() != refErr.Error() {
+				t.Fatalf("Read error %v, reflective decoder error %v", err, refErr)
+			}
 			return
 		}
+		checkSameProfiles(t, ps, ref)
 		doc, err := Marshal(ps)
 		if err != nil {
 			t.Fatalf("decoded profiles failed to re-encode: %v", err)
@@ -46,6 +55,7 @@ func FuzzReadProfiles(f *testing.F) {
 			t.Fatalf("Marshal differs from encoding/json at byte %d:\n got: %q\nwant: %q",
 				mismatchAt(doc, want.Bytes()), excerpt(doc, want.Bytes()), excerpt(want.Bytes(), doc))
 		}
+		checkOnePass(t, "re-encoded document", ps, doc)
 		back, err := Read(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatalf("re-encoded document does not decode: %v", err)

@@ -8,9 +8,11 @@
 package profio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"aprof/internal/core"
 	"aprof/internal/trace"
@@ -57,8 +59,9 @@ type corruptionJSON struct {
 // fileJSON is the on-disk document. The drops and corruption objects are
 // omitted entirely on clean runs, so documents written before the
 // fault-tolerance layer and documents of strict runs are byte-identical to
-// the previous schema (the format number stays 1). Read decodes it through
-// these types; Marshal and Write (encode.go) write the same members by hand.
+// the previous schema (the format number stays 1). readJSON decodes it
+// through these types; Marshal and Write (encode.go) write the same members
+// by hand, and readCanonical (decode.go) reads them back the same way.
 type fileJSON struct {
 	Format       int             `json:"format"`
 	Generator    string          `json:"generator"`
@@ -69,23 +72,49 @@ type fileJSON struct {
 	Profiles     []profileJSON   `json:"profiles"`
 }
 
+// pointsFromJSON builds a cost plot from its points, one CostStats block
+// for the whole plot.
 func pointsFromJSON(points []pointJSON) (map[uint64]*core.CostStats, error) {
 	out := make(map[uint64]*core.CostStats, len(points))
-	for _, p := range points {
+	stats := make([]core.CostStats, len(points))
+	for i, p := range points {
 		if _, dup := out[p.N]; dup {
 			return nil, fmt.Errorf("profio: duplicate point at n=%d", p.N)
 		}
-		out[p.N] = &core.CostStats{
-			Count: p.Count, Max: p.Max, Min: p.Min, Sum: p.Sum, SumSq: p.SumSq,
-		}
+		stats[i] = core.CostStats{Count: p.Count, Max: p.Max, Min: p.Min, Sum: p.Sum, SumSq: p.SumSq}
+		out[p.N] = &stats[i]
 	}
 	return out, nil
 }
 
-// Read deserializes profiles written by Write.
+// Read deserializes profiles written by Write. It reads r to EOF. A
+// document in exactly the layout Marshal writes is decoded in one pass over
+// its bytes (decode.go); any other input goes through encoding/json, which
+// decodes the first JSON value in it and ignores what follows.
 func Read(r io.Reader) (*core.Profiles, error) {
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("profio: decoding: %w", err)
+	}
+	if ps := readCanonical(buf.Bytes()); ps != nil {
+		return ps, nil
+	}
+	return readJSON(buf.Bytes())
+}
+
+// readBufs holds Read's input buffers, so that reading a document does not
+// grow a new buffer to its size each time. Neither decoder retains the
+// bytes it is given.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readJSON decodes data reflectively through encoding/json. It reads every
+// document Read accepts and is the reference the one-pass decoder is tested
+// against (FuzzReadProfiles).
+func readJSON(data []byte) (*core.Profiles, error) {
 	var doc fileJSON
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("profio: decoding: %w", err)

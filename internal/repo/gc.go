@@ -276,11 +276,7 @@ func (r *Repository) applyRetentionLocked(policy RetentionPolicy) error {
 	}
 	// The trimmed root holds the full retained set; prune the roots it
 	// supersedes.
-	if err := r.pruneRootsLocked(newName); err != nil {
-		return err
-	}
-	r.rebuildSessionView()
-	return nil
+	return r.pruneRootsLocked(newName)
 }
 
 // packCacheInvalidate drops the one-entry pack cache if it holds a

@@ -697,15 +697,15 @@ func (r *Repository) SaveProfile(sessionID string, profile []byte) error {
 	if err := r.pruneRootsLocked(newName); err != nil {
 		return err
 	}
-	r.rebuildSessionView()
 	r.updateGauges()
 	return nil
 }
 
 // pruneRootsLocked removes every root but keep, which holds the full head
 // set and so supersedes them. A crash mid-prune leaves extra roots, which
-// only hold more blobs live — never fewer. The caller rebuilds the
-// session view.
+// only hold more blobs live — never fewer. The session view needs no
+// rebuild: snapshotLocked built it when keep, the newest root, was written,
+// and keep supplies every session's head.
 func (r *Repository) pruneRootsLocked(keep string) error {
 	for name := range r.snaps {
 		if name == keep {

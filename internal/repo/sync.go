@@ -320,7 +320,6 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 	if err := r.pruneRootsLocked(newName); err != nil {
 		return err
 	}
-	r.rebuildSessionView()
 	r.updateGauges()
 	return nil
 }

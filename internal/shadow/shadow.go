@@ -17,6 +17,7 @@
 package shadow
 
 import (
+	"math/bits"
 	"slices"
 
 	"aprof/internal/trace"
@@ -47,9 +48,23 @@ type leaf[T any] struct {
 	cells [lowSize]T
 }
 
-// node is a level-2 table of leaf chunks.
+// node is a level-2 table of leaf chunks. present has bit li set when
+// leaves[li] exists, so walks visit the materialized leaves without testing
+// every pointer.
 type node[T any] struct {
-	leaves [midSize]*leaf[T]
+	leaves  [midSize]*leaf[T]
+	present [midSize / 64]uint64
+}
+
+// each calls fn for every materialized leaf of n in ascending index order.
+func (n *node[T]) each(fn func(li uint64, lf *leaf[T])) {
+	for w, set := range &n.present {
+		for set != 0 {
+			li := uint64(w)*64 + uint64(bits.TrailingZeros64(set))
+			fn(li, n.leaves[li])
+			set &= set - 1
+		}
+	}
 }
 
 // Table is a sparse map from trace.Addr to T with zero-valued default
@@ -135,6 +150,7 @@ func (t *Table[T]) leaf(addr trace.Addr) *leaf[T] {
 	if lf == nil {
 		lf = &leaf[T]{}
 		n.leaves[li] = lf
+		n.present[li/64] |= 1 << (li % 64)
 		t.leafCount++
 	}
 	return lf
@@ -172,7 +188,8 @@ func (t *Table[T]) LeafChunks() int { return t.leafCount }
 func (t *Table[T]) HintStats() (hits, lookups uint64) { return t.hintHits, t.hintLookups }
 
 // SizeBytes estimates the memory held by the table: materialized leaves plus
-// level-2 pointer arrays, with elemSize the size of T in bytes.
+// level-2 pointer arrays, with elemSize the size of T in bytes. The nodes'
+// presence bitmaps, 1/64 of their pointer arrays, are left out.
 func (t *Table[T]) SizeBytes(elemSize int) int64 {
 	const ptrSize = 8
 	leafBytes := int64(t.leafCount) * int64(lowSize) * int64(elemSize)
@@ -185,11 +202,8 @@ func (t *Table[T]) SizeBytes(elemSize int) int64 {
 func (t *Table[T]) ForEach(isZero func(T) bool, fn func(trace.Addr, T)) {
 	for key, n := range t.top {
 		base := key << topShift
-		for li, lf := range &n.leaves {
-			if lf == nil {
-				continue
-			}
-			chunkBase := base | uint64(li)<<lowBits
+		n.each(func(li uint64, lf *leaf[T]) {
+			chunkBase := base | li<<lowBits
 			for ci := range lf.cells {
 				v := lf.cells[ci]
 				if isZero(v) {
@@ -197,7 +211,7 @@ func (t *Table[T]) ForEach(isZero func(T) bool, fn func(trace.Addr, T)) {
 				}
 				fn(trace.Addr(chunkBase|uint64(ci)), v)
 			}
-		}
+		})
 	}
 }
 
@@ -214,11 +228,9 @@ func (t *Table[T]) Leaves(fn func(base trace.Addr, cells []T)) {
 	for _, key := range keys {
 		n := t.top[key]
 		base := key << topShift
-		for li, lf := range &n.leaves {
-			if lf != nil {
-				fn(trace.Addr(base|uint64(li)<<lowBits), lf.cells[:])
-			}
-		}
+		n.each(func(li uint64, lf *leaf[T]) {
+			fn(trace.Addr(base|li<<lowBits), lf.cells[:])
+		})
 	}
 }
 
@@ -226,13 +238,10 @@ func (t *Table[T]) Leaves(fn func(base trace.Addr, cells []T)) {
 // Cells never stored to are not visited (their chunks do not exist).
 func (t *Table[T]) UpdateAll(fn func(T) T) {
 	for _, n := range t.top {
-		for _, lf := range &n.leaves {
-			if lf == nil {
-				continue
-			}
+		n.each(func(_ uint64, lf *leaf[T]) {
 			for ci := range lf.cells {
 				lf.cells[ci] = fn(lf.cells[ci])
 			}
-		}
+		})
 	}
 }

@@ -103,10 +103,12 @@ func TestForEachVisitsExactlyNonZero(t *testing.T) {
 
 // TestLeavesAddressOrder: Leaves visits every materialized chunk exactly
 // once, in increasing address order across level-1 nodes (stored in a map),
-// with the chunk's base address and its cells.
+// with the chunk's base address and its cells. The chunks at 63, 64 and
+// 1023 chunks into a node sit at the edges of its presence bitmap's words.
 func TestLeavesAddressOrder(t *testing.T) {
 	m := New[uint8]()
-	addrs := []trace.Addr{1 << 50, 7, 1 << 30, LeafCells + 5, 3<<40 + LeafCells - 1, 1<<30 + 2*LeafCells}
+	addrs := []trace.Addr{1 << 50, 7, 1 << 30, LeafCells + 5, 3<<40 + LeafCells - 1, 1<<30 + 2*LeafCells,
+		1023*LeafCells + 9, 64 * LeafCells, 63*LeafCells + 1}
 	for i, a := range addrs {
 		m.Store(a, uint8(i+1))
 	}
