@@ -86,7 +86,7 @@ chaos-replica:
 	$(GO) test -race -timeout 90s -count=1 -run 'TestCkptStore' ./internal/profio
 	$(GO) test -race -timeout 90s -count=1 ./internal/replica/wire
 	$(GO) test -race -timeout 90s -count=1 ./internal/cluster
-	$(GO) test -race -timeout 90s -count=1 -run 'TestSync|TestRetention' ./internal/repo
+	$(GO) test -race -timeout 90s -count=1 -run 'TestSync' ./internal/repo
 	$(GO) test -race -timeout 90s -count=1 -run 'LeakAudit' ./internal/server/client
 	$(GO) test -race -timeout 90s -count=1 -run 'TestCluster' ./cmd/aprofd
 

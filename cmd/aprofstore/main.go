@@ -15,6 +15,9 @@
 // profile is servable. A store of another version is refused by every
 // command with an error naming both versions. Warnings (quarantined wreckage, stale
 // index caches) do not fail it; a lost or unservable referenced blob does.
+//
+// The store keeps one profile per session, its head. gc frees the profiles
+// that re-saves superseded, along with any other unreferenced data.
 package main
 
 import (
@@ -52,7 +55,7 @@ func main() {
 	case "stats":
 		err = withRepo(oneDir(), runStats)
 	case "gc":
-		err = runGCCmd(rest)
+		err = withRepo(oneDir(), runGC)
 	case "check":
 		err = withRepo(oneDir(), runCheck)
 	default:
@@ -67,16 +70,14 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: aprofstore COMMAND [flags] DIR
+	fmt.Fprint(os.Stderr, `usage: aprofstore COMMAND DIR
 
 Commands:
   init    initialize a new profile repository in DIR
   ls      list stored sessions
   stats   population and dedup statistics
-  gc      delete unreferenced data, repack partially-live packs
-          -keep-last N   keep at most N versions per session, head included
-                         (default 1: heads only; 0: keep every recorded version)
-          -max-age D     also drop retained versions older than D (e.g. 720h; 0: no age limit)
+  gc      delete unreferenced data (superseded profiles included),
+          repack partially-live packs
   check   full integrity verification (exit 1 on damage)
 `)
 }
@@ -148,31 +149,13 @@ func runStats(r *repo.Repository) error {
 	return nil
 }
 
-func runGCCmd(args []string) error {
-	fs := flag.NewFlagSet("gc", flag.ExitOnError)
-	keepLast := fs.Int("keep-last", 1, "versions kept per session, head included (0 = no count limit)")
-	maxAge := fs.Duration("max-age", 0, "drop retained versions older than this (0 = no age limit)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: aprofstore gc [-keep-last N] [-max-age D] DIR")
-		fs.PrintDefaults()
+func runGC(r *repo.Repository) error {
+	stats, err := r.GC()
+	if err != nil {
+		return err
 	}
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *keepLast < 0 {
-		return fmt.Errorf("gc: -keep-last must be >= 0")
-	}
-	policy := repo.RetentionPolicy{KeepLast: *keepLast, MaxAge: *maxAge}
-	return withRepo(fs.Arg(0), func(r *repo.Repository) error {
-		stats, err := r.GCWithPolicy(policy)
-		if err != nil {
-			return err
-		}
-		fmt.Println(stats.String())
-		return nil
-	})
+	fmt.Println(stats.String())
+	return nil
 }
 
 func runCheck(r *repo.Repository) error {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,7 +153,9 @@ func TestFanoutToleratesDeadPeer(t *testing.T) {
 // query recurses (A asks B, whose fan-out asks A and C, ...) into an
 // exponential request storm where every view times out to empty/partial.
 // Three fan-outs in a full mesh must each serve the complete, non-partial
-// union, and any node must serve any session by id, quickly.
+// union, and any node must serve any session by id, with exactly the peer
+// queries one non-recursive hop makes: each node counts the requests that
+// carry fanoutHeader.
 func TestFanoutFullMeshDoesNotRecurse(t *testing.T) {
 	stores := []fakeStore{
 		{"s-a": []byte(`{"a":1}`)},
@@ -163,23 +166,33 @@ func TestFanoutFullMeshDoesNotRecurse(t *testing.T) {
 	// mount each node's fan-out with the full peer list.
 	servers := make([]*httptest.Server, len(stores))
 	muxes := make([]*http.ServeMux, len(stores))
+	hops := make([]atomic.Int64, len(stores))
 	for i := range stores {
 		muxes[i] = http.NewServeMux()
-		servers[i] = httptest.NewServer(muxes[i])
+		servers[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get(fanoutHeader) != "" {
+				hops[i].Add(1)
+			}
+			muxes[i].ServeHTTP(w, r)
+		}))
 		defer servers[i].Close()
 	}
+	peersOf := make([][]int, len(stores))
 	for i := range stores {
 		var peers []string
 		for j := range servers {
 			if j != i {
 				peers = append(peers, hostOf(servers[j]))
+				peersOf[i] = append(peersOf[i], j)
 			}
 		}
-		muxes[i].Handle("/profiles/", NewFanout(stores[i], peers, time.Second).Handler())
+		muxes[i].Handle("/profiles/", NewFanout(stores[i], peers, 10*time.Second).Handler())
 	}
 
+	// One hop per query: node i's index asks each peer once, and a session
+	// held by node k is asked of i's peers in order, up to and including k.
+	wantHops := make([]int64, len(stores))
 	want := []string{"s-a", "s-b", "s-c"}
-	start := time.Now()
 	for i, ts := range servers {
 		var idx struct {
 			Sessions []string `json:"sessions"`
@@ -194,16 +207,29 @@ func TestFanoutFullMeshDoesNotRecurse(t *testing.T) {
 		if !reflect.DeepEqual(idx.Sessions, want) {
 			t.Fatalf("node %d index = %v, want %v", i, idx.Sessions, want)
 		}
-		for _, id := range want {
+		for _, j := range peersOf[i] {
+			wantHops[j]++
+		}
+		for k, id := range want {
 			if code := getJSON(t, ts.URL+"/profiles/"+id, nil); code != http.StatusOK {
 				t.Fatalf("node %d session %s status %d", i, id, code)
 			}
+			if k == i {
+				continue // held locally
+			}
+			for _, j := range peersOf[i] {
+				wantHops[j]++
+				if j == k {
+					break
+				}
+			}
 		}
 	}
-	// A recursion storm would burn the full per-hop timeout at every
-	// level; the whole mesh sweep must finish in a fraction of one.
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("mesh sweep took %v — peer queries are recursing", elapsed)
+	for i := range hops {
+		if got := hops[i].Load(); got != wantHops[i] {
+			t.Fatalf("node %d answered %d peer queries, want %d (all: want %v) — peer queries are recursing",
+				i, got, wantHops[i], wantHops)
+		}
 	}
 }
 

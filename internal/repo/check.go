@@ -98,27 +98,14 @@ func (r *Repository) Check() *CheckReport {
 			continue
 		}
 		report.Snapshots++
-		checkProfile := func(sid string, mid ID) {
+		for sid, mid := range doc.sessions {
+			sessions[sid] = struct{}{}
 			if _, ok := verified[mid]; !ok {
 				report.errorf("snapshot %s session %q: profile %s missing", short(name), sid, mid.Short())
-				return
+				continue
 			}
 			if _, err := r.loadVerifiedBlob(mid); err != nil {
 				report.errorf("snapshot %s session %q: profile %s: %v", short(name), sid, mid.Short(), err)
-			}
-		}
-		for sid, mid := range doc.sessions {
-			sessions[sid] = struct{}{}
-			checkProfile(sid, mid)
-			// Retained history versions are roots too: a retention policy
-			// promised they stay servable until it trims them.
-			for _, he := range doc.history[sid] {
-				hid, perr := ParseID(he.Manifest)
-				if perr != nil {
-					report.errorf("snapshot %s history of %q: %v", short(name), sid, perr)
-					continue
-				}
-				checkProfile(sid, hid)
 			}
 		}
 	}
@@ -198,8 +185,8 @@ func (r *Repository) scanForBlob(id ID) ([]byte, error) {
 type StatsReport struct {
 	Packs int
 	Blobs int
-	// Profiles counts the distinct profile documents a root references,
-	// heads and retained history alike.
+	// Profiles counts the distinct profile documents the roots reference:
+	// the sessions' heads, one blob per document however many share it.
 	Profiles     int
 	Snapshots    int
 	Sessions     int

@@ -12,7 +12,7 @@ import (
 )
 
 // The crash-consistency sweep, in the style of the APCK kill-at-every-
-// batch tests: run a fixed store workload — saves, a retention change, a
+// batch tests: run a fixed store workload — saves, dropping a session, a
 // GC, more saves — and kill the backend at every mutating operation
 // index, in every crash mode (before the op, after the op, and a torn
 // Save that becomes visible half-written). After each kill the store is
@@ -51,7 +51,7 @@ func crashScenario(t *testing.T, r *repo.Repository) (acked map[string][]byte, c
 		}
 		acked[sid] = data
 	}
-	// Retention: drop s1 from the head set, forget the roots holding it.
+	// Drop s1: snapshot the head set without it, forget the roots holding it.
 	sessions := r.Sessions()
 	delete(sessions, "s1")
 	if _, err := r.Snapshot(sessions); step(err) {

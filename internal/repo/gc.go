@@ -35,74 +35,24 @@ func (s GCStats) String() string {
 		s.Snapshots, s.Sessions, s.BlobsFreed, s.BytesFreed, s.BlobsMoved, s.PacksDeleted, s.PacksWritten, s.BlobsLive, s.BytesLive, s.Elapsed.Round(time.Millisecond))
 }
 
-// RetentionPolicy decides which superseded session versions survive a
-// garbage collection. The head of every session is always kept; the
-// policy only trims history.
-type RetentionPolicy struct {
-	// KeepLast keeps at most this many versions per session, the head
-	// included: 1 keeps heads only (the classic behavior), 3 keeps the
-	// head plus its two most recent predecessors. 0 applies no count
-	// limit.
-	KeepLast int
-	// MaxAge drops history entries whose saved-at time is older than this
-	// relative to the repository clock. 0 applies no age limit. Entries
-	// with no recorded timestamp are treated as infinitely old.
-	MaxAge time.Duration
-}
-
-// trim returns entries with the policy applied (entries arrive newest
-// first), and whether anything was dropped.
-func (p RetentionPolicy) trim(entries []histEntry, now time.Time) ([]histEntry, bool) {
-	kept := entries
-	if p.KeepLast > 0 {
-		max := p.KeepLast - 1 // the head occupies one slot
-		if len(kept) > max {
-			kept = kept[:max]
-		}
-	}
-	if p.MaxAge > 0 {
-		cutoff := now.Add(-p.MaxAge).Unix()
-		aged := kept[:0:len(kept)]
-		for _, e := range kept {
-			if e.SavedAt >= cutoff {
-				aged = append(aged, e)
-			}
-		}
-		kept = aged
-	}
-	return kept, len(kept) != len(entries)
-}
-
-// GC removes every blob not reachable from a snapshot root, keeping only
-// each session's head version — the classic keep-latest-head collection.
-// Equivalent to GCWithPolicy with KeepLast 1.
-func (r *Repository) GC() (GCStats, error) {
-	return r.GCWithPolicy(RetentionPolicy{KeepLast: 1})
-}
-
-// GCWithPolicy first applies the retention policy — writing one trimmed
-// root (new root saved before the old ones are pruned, so a crash at any
-// instant still roots every retained blob) — and then removes every blob
-// no longer reachable: fully dead packs are deleted, partially live packs
-// are rewritten to hold only their live blobs, and the index cache is
-// refreshed. The zero policy trims nothing: every recorded version stays.
+// GC removes every blob no root references — the superseded profiles of
+// re-saved sessions among them, so only each session's head survives:
+// fully dead packs are deleted, partially live packs are rewritten to hold
+// only their live blobs, and the index cache is refreshed.
 //
-// Crash safety: the pass is trim (root rewrite, old-roots prune), then
-// mark (read-only), then save replacement packs, then delete old packs. A
-// kill before the saves loses nothing; a kill between a save and the
-// deletes leaves live blobs stored twice (the index keeps one, the next
-// GC drops the rest); a kill mid-delete leaves some dead packs for the
-// next pass. At no point is a retained blob in no saved pack.
-func (r *Repository) GCWithPolicy(policy RetentionPolicy) (GCStats, error) {
+// Crash safety: the pass is mark (read-only), then save replacement packs,
+// then delete old packs. A kill before the saves loses nothing; a kill
+// between a save and the deletes leaves live blobs stored twice (the index
+// keeps one, the next GC drops the rest); a kill mid-delete leaves some
+// dead packs for the next pass. At no point is a referenced blob in no
+// saved pack.
+func (r *Repository) GC() (GCStats, error) {
 	r.lockWrite()
 	defer r.unlockWrite()
 	start := time.Now()
 	var stats GCStats
 
 	if err := r.flushLocked(); err != nil {
-		return stats, err
-	}
-	if err := r.applyRetentionLocked(policy); err != nil {
 		return stats, err
 	}
 	live, err := r.markLiveLocked()
@@ -249,34 +199,6 @@ func (r *Repository) GCWithPolicy(policy RetentionPolicy) (GCStats, error) {
 	r.m.gcRuns.Inc()
 	r.m.gcLatency.Observe(sinceMicros(start))
 	return stats, nil
-}
-
-// applyRetentionLocked trims session history to the policy. When nothing
-// is trimmed — the head-only default on a store with no history, or a
-// policy everything already satisfies — it is a pure no-op: no root is
-// written, no backend op happens, and GC behaves exactly as it did before
-// retention existed.
-func (r *Repository) applyRetentionLocked(policy RetentionPolicy) error {
-	now := r.now()
-	trimmed := make(map[string][]histEntry, len(r.history))
-	changed := false
-	for sid, entries := range r.history {
-		kept, dropped := policy.trim(sortedHistory(entries), now)
-		changed = changed || dropped
-		if len(kept) > 0 {
-			trimmed[sid] = append([]histEntry(nil), kept...)
-		}
-	}
-	if !changed {
-		return nil
-	}
-	newName, err := r.snapshotLocked(cloneSessions(r.sessions), cloneSavedAt(r.savedAt), trimmed)
-	if err != nil {
-		return fmt.Errorf("repo: retention trim: %w", err)
-	}
-	// The trimmed root holds the full retained set; prune the roots it
-	// supersedes.
-	return r.pruneRootsLocked(newName)
 }
 
 // packCacheInvalidate drops the one-entry pack cache if it holds a

@@ -12,9 +12,9 @@ import (
 )
 
 // TestPropertyDifferential drives random sequences of store operations —
-// SaveProfile, retention (snapshot a subset + forget superseded roots),
-// GC, and full close/reopen cycles — against a trivial model (a map of
-// session ID to latest profile bytes). After every operation the store
+// SaveProfile, dropping a session (snapshot a subset + forget superseded
+// roots), GC, and full close/reopen cycles — against a trivial model (a
+// map of session ID to latest profile bytes). After every operation the store
 // must agree with the model exactly: same session set, byte-identical
 // contents, and a clean Check after every GC.
 func TestPropertyDifferential(t *testing.T) {
@@ -76,7 +76,7 @@ func TestPropertyDifferential(t *testing.T) {
 					}
 					model[sid] = doc
 					op = "save " + sid
-				case p < 70: // retention: drop one random session
+				case p < 70: // drop one random session
 					if len(model) == 0 {
 						continue
 					}
@@ -90,7 +90,7 @@ func TestPropertyDifferential(t *testing.T) {
 					delete(next, victim)
 					newName, err := r.Snapshot(next)
 					if err != nil {
-						t.Fatalf("op %d: retention snapshot: %v", i, err)
+						t.Fatalf("op %d: drop snapshot: %v", i, err)
 					}
 					for _, s := range r.Snapshots() {
 						if s.Name != newName {

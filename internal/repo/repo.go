@@ -123,17 +123,6 @@ type Options struct {
 	// Logf logs recoverable anomalies, e.g. a damaged pack skipped on open
 	// (nil discards).
 	Logf func(format string, args ...any)
-	// Clock supplies the timestamps recorded on saved profiles (nil uses
-	// time.Now). Tests inject a fake clock to exercise max-age retention.
-	Clock func() time.Time
-}
-
-// snapState is one loaded snapshot root.
-type snapState struct {
-	seq      uint64
-	sessions map[string]ID
-	savedAt  map[string]int64
-	history  map[string][]histEntry
 }
 
 // Repository is an open profile store. All methods are safe for
@@ -161,12 +150,9 @@ type Repository struct {
 	pendingIDs   map[ID]struct{}
 	pendingBytes int
 	// snaps holds every snapshot root by name; sessions is the merged
-	// head view (highest seq wins per session), with the winning root's
-	// timestamp and retained history carried alongside.
-	snaps    map[string]snapState
+	// head view (highest seq wins per session).
+	snaps    map[string]snapDoc
 	sessions map[string]ID
-	savedAt  map[string]int64
-	history  map[string][]histEntry
 	maxSeq   uint64
 	// damagedSnaps lists snapshot files whose content does not hash to
 	// their name — torn writes made visible by a non-atomic backend. They
@@ -210,7 +196,7 @@ func Open(be backend.Backend, opts Options) (*Repository, error) {
 		opts:       opts,
 		m:          newRepoMetrics(opts.Obs),
 		pendingIDs: make(map[ID]struct{}),
-		snaps:      make(map[string]snapState),
+		snaps:      make(map[string]snapDoc),
 		sessions:   make(map[string]ID),
 	}
 	if err := r.loadIndex(); err != nil {
@@ -338,7 +324,7 @@ func (r *Repository) loadSnapshots() error {
 		if derr != nil {
 			return fmt.Errorf("repo: snapshot %s: %w", name, derr)
 		}
-		r.snaps[name] = snapState{seq: doc.seq, sessions: doc.sessions, savedAt: doc.savedAt, history: doc.history}
+		r.snaps[name] = doc
 		if doc.seq > r.maxSeq {
 			r.maxSeq = doc.seq
 		}
@@ -347,27 +333,16 @@ func (r *Repository) loadSnapshots() error {
 	return nil
 }
 
-// rebuildSessionView recomputes the merged head view from all roots. The
-// winning root (highest seq) for a session also supplies its timestamp
-// and retained history.
+// rebuildSessionView recomputes the merged head view from all roots: the
+// root with the highest seq supplies a session's head.
 func (r *Repository) rebuildSessionView() {
 	r.sessions = make(map[string]ID)
-	r.savedAt = make(map[string]int64)
-	r.history = make(map[string][]histEntry)
 	winner := make(map[string]uint64)
 	for _, s := range r.snaps {
 		for sid, mid := range s.sessions {
 			if seq, ok := winner[sid]; !ok || s.seq > seq {
 				winner[sid] = s.seq
 				r.sessions[sid] = mid
-				delete(r.savedAt, sid)
-				delete(r.history, sid)
-				if at, ok := s.savedAt[sid]; ok {
-					r.savedAt[sid] = at
-				}
-				if h := s.history[sid]; len(h) > 0 {
-					r.history[sid] = append([]histEntry(nil), h...)
-				}
 			}
 		}
 	}
@@ -589,10 +564,10 @@ type SnapshotInfo struct {
 func (r *Repository) Snapshot(sessions map[string]ID) (string, error) {
 	r.lockWrite()
 	defer r.unlockWrite()
-	return r.snapshotLocked(sessions, nil, nil)
+	return r.snapshotLocked(sessions)
 }
 
-func (r *Repository) snapshotLocked(sessions map[string]ID, savedAt map[string]int64, history map[string][]histEntry) (string, error) {
+func (r *Repository) snapshotLocked(sessions map[string]ID) (string, error) {
 	if err := r.flushLocked(); err != nil {
 		return "", err
 	}
@@ -601,21 +576,10 @@ func (r *Repository) snapshotLocked(sessions map[string]ID, savedAt map[string]i
 			return "", fmt.Errorf("repo: snapshot references unknown profile %s (session %q)", mid.Short(), sid)
 		}
 	}
-	for sid, entries := range history {
-		for _, he := range entries {
-			mid, err := ParseID(he.Manifest)
-			if err != nil {
-				return "", fmt.Errorf("repo: snapshot history of %q: %w", sid, err)
-			}
-			if !r.ix.has(mid) {
-				return "", fmt.Errorf("repo: snapshot history of %q references unknown profile %s", sid, mid.Short())
-			}
-		}
-	}
 	seq := r.maxSeq + 1
 	var name string
 	err := r.unlockedIO(func() error {
-		data := encodeSnapshot(seq, sessions, savedAt, history)
+		data := encodeSnapshot(seq, sessions)
 		name = IDOf(data).String()
 		return r.be.Save(backend.Handle{Type: backend.SnapshotType, Name: name}, data)
 	})
@@ -623,12 +587,7 @@ func (r *Repository) snapshotLocked(sessions map[string]ID, savedAt map[string]i
 		return "", err
 	}
 	r.maxSeq = seq
-	r.snaps[name] = snapState{
-		seq:      seq,
-		sessions: cloneSessions(sessions),
-		savedAt:  cloneSavedAt(savedAt),
-		history:  cloneHistory(history),
-	}
+	r.snaps[name] = snapDoc{seq: seq, sessions: cloneSessions(sessions)}
 	r.rebuildSessionView()
 	r.m.snapsWritten.Inc()
 	r.updateGauges()
@@ -657,11 +616,8 @@ func (r *Repository) Forget(name string) error {
 // snapshots the new one supersedes. When SaveProfile returns nil the
 // profile survives any crash.
 //
-// A re-save that replaces a session's head pushes the superseded version
-// onto the session's history (bounded at maxRecordedHistory), where a
-// retention policy — GCWithPolicy's keep-last-N and max-age knobs —
-// decides how long it stays reachable. The default GC keeps heads only,
-// exactly the pre-history behavior.
+// A re-save replaces the session's head; the superseded profile is
+// referenced by no root and is garbage for the next GC.
 func (r *Repository) SaveProfile(sessionID string, profile []byte) error {
 	if sessionID == "" {
 		return errors.New("repo: empty session id")
@@ -676,19 +632,8 @@ func (r *Repository) SaveProfile(sessionID string, profile []byte) error {
 		return nil // identical re-save of the head state: nothing to do
 	}
 	next := cloneSessions(r.sessions)
-	nextSavedAt := cloneSavedAt(r.savedAt)
-	nextHistory := cloneHistory(r.history)
-	if old, ok := next[sessionID]; ok && old != mid {
-		entries := append([]histEntry{{Manifest: old.String(), SavedAt: r.savedAt[sessionID]}}, nextHistory[sessionID]...)
-		entries = sortedHistory(entries)
-		if len(entries) > maxRecordedHistory {
-			entries = entries[:maxRecordedHistory]
-		}
-		nextHistory[sessionID] = entries
-	}
 	next[sessionID] = mid
-	nextSavedAt[sessionID] = r.now().Unix()
-	newName, err := r.snapshotLocked(next, nextSavedAt, nextHistory)
+	newName, err := r.snapshotLocked(next)
 	if err != nil {
 		return err
 	}
@@ -808,32 +753,17 @@ func (r *Repository) writeIndexCacheLocked() error {
 	return nil
 }
 
-// markLiveLocked walks every root — heads and retained history alike —
-// and returns the set of live blob IDs. It fails — rather than guessing —
-// when a referenced profile is neither stored nor staged.
+// markLiveLocked walks every root and returns the set of live blob IDs.
+// It fails — rather than guessing — when a referenced profile is neither
+// stored nor staged.
 func (r *Repository) markLiveLocked() (map[ID]struct{}, error) {
 	live := make(map[ID]struct{})
-	mark := func(root, sid string, mid ID) error {
-		if !r.storedLocked(mid) {
-			return fmt.Errorf("repo: snapshot %s session %q: %w: blob %s", root[:8], sid, ErrProfileNotFound, mid.Short())
-		}
-		live[mid] = struct{}{}
-		return nil
-	}
 	for name, s := range r.snaps {
 		for sid, mid := range s.sessions {
-			if err := mark(name, sid, mid); err != nil {
-				return nil, err
+			if !r.storedLocked(mid) {
+				return nil, fmt.Errorf("repo: snapshot %s session %q: %w: blob %s", name[:8], sid, ErrProfileNotFound, mid.Short())
 			}
-			for _, he := range s.history[sid] {
-				hid, err := ParseID(he.Manifest)
-				if err != nil {
-					return nil, fmt.Errorf("repo: snapshot %s history of %q: %w", name[:8], sid, err)
-				}
-				if err := mark(name, sid, hid); err != nil {
-					return nil, err
-				}
-			}
+			live[mid] = struct{}{}
 		}
 	}
 	return live, nil
@@ -862,81 +792,6 @@ func (r *Repository) updateByteGauges(live map[ID]struct{}) (liveBytes, deadByte
 	return liveBytes, deadBytes
 }
 
-// maxRecordedHistory bounds the superseded versions SaveProfile records
-// per session between GCs, so a hot session cannot grow a root without
-// bound. Retention policies trim below this; GC's default keeps heads
-// only.
-const maxRecordedHistory = 64
-
-func (r *Repository) now() time.Time {
-	if r.opts.Clock != nil {
-		return r.opts.Clock()
-	}
-	return time.Now()
-}
-
-// Version describes one stored version of a session.
-type Version struct {
-	// Manifest is the version's profile ID: the SHA-256 of the document.
-	Manifest ID
-	// SavedAt is when this version became the head (zero when unknown —
-	// saved before timestamps existed).
-	SavedAt time.Time
-	// Head marks the current version.
-	Head bool
-}
-
-// Versions lists a session's stored versions, head first, then retained
-// history newest-first. Empty when the session is unknown.
-func (r *Repository) Versions(sessionID string) []Version {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	mid, ok := r.sessions[sessionID]
-	if !ok {
-		return nil
-	}
-	out := []Version{{Manifest: mid, SavedAt: unixTime(r.savedAt[sessionID]), Head: true}}
-	for _, he := range r.history[sessionID] {
-		hid, err := ParseID(he.Manifest)
-		if err != nil {
-			continue // unreachable: verified at decode/snapshot time
-		}
-		out = append(out, Version{Manifest: hid, SavedAt: unixTime(he.SavedAt)})
-	}
-	return out
-}
-
-// GetVersion returns a copy of one retained version of a session — the
-// head or any history entry listed by Versions.
-func (r *Repository) GetVersion(sessionID string, id ID) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	mid, ok := r.sessions[sessionID]
-	if !ok {
-		return nil, fmt.Errorf("%w: session %q", ErrProfileNotFound, sessionID)
-	}
-	if id != mid {
-		found := false
-		for _, he := range r.history[sessionID] {
-			if he.Manifest == id.String() {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("%w: session %q has no version %s", ErrProfileNotFound, sessionID, id.Short())
-		}
-	}
-	return r.getLocked(id)
-}
-
-func unixTime(sec int64) time.Time {
-	if sec == 0 {
-		return time.Time{}
-	}
-	return time.Unix(sec, 0)
-}
-
 func cloneSessions(m map[string]ID) map[string]ID {
 	out := make(map[string]ID, len(m))
 	for k, v := range m {
@@ -945,26 +800,7 @@ func cloneSessions(m map[string]ID) map[string]ID {
 	return out
 }
 
-func cloneSavedAt(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneHistory(m map[string][]histEntry) map[string][]histEntry {
-	out := make(map[string][]histEntry, len(m))
-	for k, v := range m {
-		if len(v) == 0 {
-			continue
-		}
-		out[k] = sortedHistory(v)
-	}
-	return out
-}
-
-// nowMicros measures a duration in microseconds for the GC histogram.
+// sinceMicros measures a duration in microseconds for the GC histogram.
 func sinceMicros(start time.Time) uint64 {
 	us := time.Since(start).Microseconds()
 	if us < 0 {

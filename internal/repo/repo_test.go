@@ -102,9 +102,9 @@ func TestReadsReturnCopies(t *testing.T) {
 		}
 		got[0] ^= 0xff
 	}
-	got, err := r.GetVersion("s", id)
+	got, err := r.Get(id)
 	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("GetVersion after changed reads: %d bytes, %v", len(got), err)
+		t.Fatalf("Get after changed reads: %d bytes, %v", len(got), err)
 	}
 }
 
@@ -345,6 +345,45 @@ func TestGCRemovesUnreferencedAndKeepsLive(t *testing.T) {
 	}
 	if got, err := r2.GetSession("keep"); err != nil || !bytes.Equal(got, keep) {
 		t.Fatalf("live session damaged after gc+reopen: %v", err)
+	}
+}
+
+// GC keeps each session's head and frees the profiles that re-saves
+// superseded.
+func TestGCDefaultKeepsHeadsOnly(t *testing.T) {
+	r, _ := openTestRepo(t)
+	var docs [][]byte
+	for i := 0; i < 3; i++ {
+		doc := syntheticProfile(int64(500+i), 3000)
+		docs = append(docs, doc)
+		if err := r.SaveProfile("a", doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	docB := syntheticProfile(900, 2000)
+	if err := r.SaveProfile("b", docB); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := r.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BlobsFreed != 2 {
+		t.Fatalf("gc freed %d blobs, want the 2 superseded versions of a: %s", stats.BlobsFreed, stats)
+	}
+	for _, old := range docs[:2] {
+		if _, err := r.Get(IDOf(old)); !errors.Is(err, ErrProfileNotFound) {
+			t.Fatalf("superseded version still stored after gc: %v", err)
+		}
+	}
+	for sid, want := range map[string][]byte{"a": docs[2], "b": docB} {
+		if got, err := r.GetSession(sid); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("head of %s damaged by gc: %v", sid, err)
+		}
+	}
+	if rep := r.Check(); !rep.OK() {
+		t.Fatalf("check after gc: %v", rep.Errors)
 	}
 }
 

@@ -18,8 +18,8 @@ type SyncStats struct {
 	// SnapshotsScanned counts remote roots examined.
 	SnapshotsScanned int
 	// SessionsAdopted are sessions this store did not have; SessionsUpdated
-	// had a head superseded by the remote's (the losing head moves into
-	// history, not oblivion); SessionsSkipped were unresolvable — a blob
+	// had a head superseded by the remote's (the losing head is dropped,
+	// garbage for the next GC); SessionsSkipped were unresolvable — a blob
 	// they need was not pullable this round (the remote GC'd or lost it
 	// mid-transfer) and will be retried next round.
 	SessionsAdopted int
@@ -39,8 +39,8 @@ func (s SyncStats) String() string {
 // Sync pulls everything the remote store has that this one lacks: missing
 // packs first (blobs before any root that references them — the same
 // crash-safe ordering every other write path uses), then the remote's
-// session heads and retained history, merged into this store's view under
-// a deterministic rule and made durable in one new local root.
+// session heads, merged into this store's view under a deterministic rule
+// and made durable in one new local root.
 //
 // Sync is pull-only — the remote is never written — which is what makes
 // cluster-wide anti-entropy idempotent and crash-safe: each node mutates
@@ -49,8 +49,9 @@ func (s SyncStats) String() string {
 // converges because content addressing makes every transfer repeatable.
 // Two nodes syncing from each other reach the same session view: the
 // merge rule (higher snapshot seq wins; ties break toward the
-// lexically greater profile ID) is symmetric, and each side keeps the
-// losing head in its history.
+// lexically greater profile ID) is symmetric, and each side drops the
+// losing head. Heads can diverge only through a reused session id: a
+// failover re-run of one trace yields a byte-identical profile.
 //
 // The remote's config is read first, and a remote this code cannot read
 // (another store version, or no store at all) is refused with the error
@@ -258,8 +259,6 @@ func (r *Repository) syncReadRoots(remote backend.Backend, stats *SyncStats) ([]
 // the result as one new root when anything changed.
 func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 	next := cloneSessions(r.sessions)
-	nextSavedAt := cloneSavedAt(r.savedAt)
-	nextHistory := cloneHistory(r.history)
 	localSeq := r.sessionSeqsLocked()
 
 	// Deterministic doc order so skip accounting is stable.
@@ -269,7 +268,6 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 			mid := doc.sessions[sid]
 			cur, exists := next[sid]
 			if exists && cur == mid {
-				r.syncMergeHistoryLocked(sid, mid, doc.history[sid], nextHistory)
 				continue
 			}
 			// Conflict rule, symmetric so both sides converge: higher root
@@ -277,11 +275,7 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 			if exists {
 				ls, rs := localSeq[sid], doc.seq
 				if rs < ls || (rs == ls && mid.String() <= cur.String()) {
-					// Ours wins; their head joins our history, as ours
-					// joins theirs when they sync from us.
-					theirs := histEntry{Manifest: mid.String(), SavedAt: doc.savedAt[sid]}
-					r.syncMergeHistoryLocked(sid, cur, append([]histEntry{theirs}, doc.history[sid]...), nextHistory)
-					continue
+					continue // ours wins; theirs is dropped
 				}
 			}
 			if !r.storedLocked(mid) {
@@ -290,29 +284,19 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 				continue
 			}
 			if exists {
-				// The superseded local head is retained as history, so a
-				// divergent profile is never silently discarded by a merge.
-				entries := append([]histEntry{{Manifest: cur.String(), SavedAt: nextSavedAt[sid]}}, nextHistory[sid]...)
-				nextHistory[sid] = capHistory(sortedHistory(entries))
 				stats.SessionsUpdated++
 			} else {
 				stats.SessionsAdopted++
 			}
 			next[sid] = mid
-			if at, ok := doc.savedAt[sid]; ok {
-				nextSavedAt[sid] = at
-			} else {
-				delete(nextSavedAt, sid)
-			}
 			localSeq[sid] = doc.seq
-			r.syncMergeHistoryLocked(sid, mid, doc.history[sid], nextHistory)
 		}
 	}
 
-	if sessionsEqual(next, r.sessions) && savedAtEqual(nextSavedAt, r.savedAt) && historyEqual(nextHistory, r.history) {
+	if sessionsEqual(next, r.sessions) {
 		return nil // already converged: nothing to write
 	}
-	newName, err := r.snapshotLocked(next, nextSavedAt, nextHistory)
+	newName, err := r.snapshotLocked(next)
 	if err != nil {
 		return fmt.Errorf("repo: sync: writing merged root: %w", err)
 	}
@@ -324,44 +308,6 @@ func (r *Repository) syncMergeLocked(docs []snapDoc, stats *SyncStats) error {
 	return nil
 }
 
-// syncMergeHistoryLocked folds remote versions of sid into nextHistory,
-// skipping the merged head and keeping only entries resolvable locally (an
-// entry the packs could not supply this round is retried on a later sync).
-func (r *Repository) syncMergeHistoryLocked(sid string, head ID, remote []histEntry, nextHistory map[string][]histEntry) {
-	if len(remote) == 0 {
-		return
-	}
-	have := map[string]struct{}{head.String(): {}}
-	for _, e := range nextHistory[sid] {
-		have[e.Manifest] = struct{}{}
-	}
-	merged := nextHistory[sid]
-	added := false
-	for _, e := range remote {
-		if _, ok := have[e.Manifest]; ok {
-			continue
-		}
-		hid, err := ParseID(e.Manifest)
-		if err != nil || !r.storedLocked(hid) {
-			continue
-		}
-		merged = append(merged, e)
-		added = true
-	}
-	if added {
-		nextHistory[sid] = capHistory(sortedHistory(merged))
-	}
-}
-
-// capHistory bounds merged history like SaveProfile bounds recorded
-// history.
-func capHistory(entries []histEntry) []histEntry {
-	if len(entries) > maxRecordedHistory {
-		entries = entries[:maxRecordedHistory]
-	}
-	return entries
-}
-
 func sessionsEqual(a, b map[string]ID) bool {
 	if len(a) != len(b) {
 		return false
@@ -369,36 +315,6 @@ func sessionsEqual(a, b map[string]ID) bool {
 	for k, v := range a {
 		if bv, ok := b[k]; !ok || bv != v {
 			return false
-		}
-	}
-	return true
-}
-
-func savedAtEqual(a, b map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
-func historyEqual(a, b map[string][]histEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
-			}
 		}
 	}
 	return true

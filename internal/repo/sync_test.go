@@ -7,9 +7,9 @@ package repo_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"aprof/internal/repo"
 	"aprof/internal/repo/backend"
@@ -98,9 +98,9 @@ func TestSyncIdempotentOnceConverged(t *testing.T) {
 }
 
 // Divergent heads for the same session must converge to the same winner
-// no matter which side syncs from which, and the losing head must survive
-// as a retained version on both sides, not vanish. The winner depends on
-// the heads' hash order, so both orders run.
+// no matter which side syncs from which; the losing head is dropped on
+// both sides, so one GC frees its blob. The winner depends on the heads'
+// hash order, so both orders run.
 func TestSyncDivergentHeadsConverge(t *testing.T) {
 	for _, seeds := range [][2]int64{{1, 2}, {2, 1}} {
 		t.Run(fmt.Sprintf("a=%d,b=%d", seeds[0], seeds[1]), func(t *testing.T) {
@@ -159,19 +159,9 @@ func testSyncDivergentHeadsConverge(t *testing.T, docA, docB []byte) {
 				t.Fatalf("%s missing after bidirectional sync: %v", id, err)
 			}
 		}
-		// The losing head is retained as a version on both sides: the
-		// superseded side moves it into history, and the winning side
-		// records the remote head it beat.
-		if vs := r.Versions("shared"); len(vs) != 2 {
-			t.Fatalf("losing head was not retained: %d versions", len(vs))
-		}
 		if rep := r.Check(); !rep.OK() {
 			t.Fatalf("store fails check after convergence: %v", rep.Errors)
 		}
-	}
-
-	if va, vb := ra.Versions("shared"), rb.Versions("shared"); fmt.Sprint(va) != fmt.Sprint(vb) {
-		t.Fatalf("version lists diverge: A=%v B=%v", va, vb)
 	}
 
 	// Fully converged now: one more pull each way is a no-op.
@@ -186,42 +176,24 @@ func testSyncDivergentHeadsConverge(t *testing.T, docA, docB []byte) {
 	if sa.RootWritten || sb.RootWritten {
 		t.Fatalf("converged pair still writing roots: A=%s B=%s", sa, sb)
 	}
-}
 
-// When the local head wins, the remote's head and history join local
-// history, but never the local head itself: here the remote's history
-// holds exactly the document that is the local head.
-func TestSyncWinningHeadStaysOutOfHistory(t *testing.T) {
-	ra, beA, rb, _ := openPair(t)
-	x, y := syntheticDoc(30, 4000), syntheticDoc(31, 4000)
-	for _, doc := range [][]byte{x, y} { // A: head y, history [x], root seq 2
-		if err := ra.SaveProfile("s", doc); err != nil {
+	// The losing head is in no root on either side: one GC frees its blob
+	// and nothing else.
+	loser := docA
+	if bytes.Equal(gotA, docA) {
+		loser = docB
+	}
+	for _, r := range []*repo.Repository{ra, rb} {
+		stats, err := r.GC()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// B: head x under root seq 3, so B's head wins the merge.
-	for _, save := range []struct {
-		sid string
-		doc []byte
-	}{{"s", x}, {"o1", syntheticDoc(32, 1000)}, {"o2", syntheticDoc(33, 1000)}} {
-		if err := rb.SaveProfile(save.sid, save.doc); err != nil {
-			t.Fatal(err)
+		if stats.BlobsFreed != 1 {
+			t.Fatalf("GC freed %d blobs, want only the losing head (%s)", stats.BlobsFreed, stats)
 		}
-	}
-	if _, err := rb.Sync(beA); err != nil {
-		t.Fatal(err)
-	}
-	vs := rb.Versions("s")
-	if len(vs) != 2 {
-		t.Fatalf("versions after sync = %v, want head x and history y", vs)
-	}
-	head, err := rb.GetVersion("s", vs[0].Manifest)
-	if err != nil || !bytes.Equal(head, x) {
-		t.Fatalf("head after sync: %d bytes, %v; want x", len(head), err)
-	}
-	prev, err := rb.GetVersion("s", vs[1].Manifest)
-	if err != nil || !bytes.Equal(prev, y) {
-		t.Fatalf("history after sync: %d bytes, %v; want y", len(prev), err)
+		if _, err := r.Get(repo.IDOf(loser)); !errors.Is(err, repo.ErrProfileNotFound) {
+			t.Fatalf("losing head still stored after GC: %v", err)
+		}
 	}
 }
 
@@ -286,63 +258,5 @@ func TestSyncSkipsUnresolvableSessions(t *testing.T) {
 	}
 	if rep := rb.Check(); !rep.OK() {
 		t.Fatalf("store fails check after partial sync: %v", rep.Errors)
-	}
-}
-
-// Remote retained history rides along: after sync, old versions of a
-// remote session are servable locally.
-func TestSyncMergesHistory(t *testing.T) {
-	t0 := time.Unix(1_700_000_000, 0)
-	clock := t0
-	beA, err := backend.OpenLocal(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := repo.OpenOrInit(beA, repo.Options{Clock: func() time.Time { return clock }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ra.Close()
-
-	v1 := syntheticDoc(20, 4000)
-	v2 := mutateDoc(v1, 21)
-	if err := ra.SaveProfile("evolving", v1); err != nil {
-		t.Fatal(err)
-	}
-	clock = clock.Add(time.Hour)
-	if err := ra.SaveProfile("evolving", v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := ra.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	beB, err := backend.OpenLocal(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := repo.OpenOrInit(beB, repo.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	if _, err := rb.Sync(beA); err != nil {
-		t.Fatal(err)
-	}
-
-	vs := rb.Versions("evolving")
-	if len(vs) != 2 {
-		t.Fatalf("synced store has %d versions, want 2", len(vs))
-	}
-	head, err := rb.GetVersion("evolving", vs[0].Manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := rb.GetVersion("evolving", vs[1].Manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(head, v2) || !bytes.Equal(prev, v1) {
-		t.Fatal("synced versions do not match the remote's history")
 	}
 }
