@@ -72,13 +72,13 @@ chaos:
 # store, an unusable checkpoint dropped from the replica set, a reused
 # session id whose stale copy is dropped, torn replication-link sweeps,
 # seed-swept client link chaos and half-open links, busy-shed rerouting,
-# health-based routing around dead nodes, the fan-out view of a migrated
-# session, partition-interrupted store sync with idempotent re-sync, the
+# routing past a dead ring owner, the fan-out view of a migrated session,
+# partition-interrupted store sync with idempotent re-sync, the
 # replication and client failover leak audits, the APRR wire unit sweeps,
 # the checkpoint-store sweeps (stale puts, reload of torn logs and stray
 # temp files, one session's held append not blocking another's put), the
-# ring, health and fan-out unit tests, and the three-binary cluster
-# end-to-end test with the refused flag combinations.
+# ring and fan-out unit tests, and the three-binary cluster end-to-end
+# test with the refused flag combinations.
 chaos-replica:
 	$(GO) test -race -timeout 90s -count=1 \
 		-run 'TestReplica|TestNewNode|TestPeerBackend|TestRoundTrip' \

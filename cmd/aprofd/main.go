@@ -7,7 +7,6 @@
 //
 //	aprofd -addr localhost:7071 [-checkpoint-dir DIR] [-result-dir DIR] [-store DIR]
 //	       [-debug-addr localhost:6060] [-max-sessions N] [-metric drms|rms|external-only]
-//	       [-max-decode-latency D] [-max-memory-bytes N]
 //	aprofd -addr HOST:PORT -replicate-peers HOST:PORT,... [-store DIR] [-replica-dir DIR]
 //	       [-cluster-peers HOST:PORT,...] [-sync-every D] [-replicas R] ...
 //
@@ -25,10 +24,6 @@
 // profile repository (one SHA-256-addressed blob per profile, checksummed,
 // crash-safe) and /profiles/ serves sessions from it across restarts.
 // Manage the store with the aprofstore command.
-//
-// -max-decode-latency and -max-memory-bytes turn the fixed session cap
-// into an adaptive one that sheds down toward -min-sessions while the node
-// is measurably overloaded.
 //
 // A cluster member runs with -replicate-peers (the full membership's
 // ingest addresses, this node included); the cluster needs no shared disk.
@@ -94,9 +89,6 @@ func main() {
 		replicas     = flag.Int("replicas", replica.DefaultReplicas, "checkpoint copies per session, this node's included (with -replicate-peers)")
 		replicaDir   = flag.String("replica-dir", "", "checkpoint store directory: this node's session checkpoints and those received from peers (default <store>/replica; with -replicate-peers)")
 		syncEvery    = flag.Duration("sync-every", 30*time.Second, "store anti-entropy interval: pull missing blobs from every replication peer (0 disables; with -replicate-peers and -store)")
-		minSessions  = flag.Int("min-sessions", 1, "adaptive admission floor (with -max-decode-latency or -max-memory-bytes)")
-		maxDecodeLat = flag.Duration("max-decode-latency", 0, "shed sessions while batch-decode latency exceeds this (0 = fixed -max-sessions cap)")
-		maxMemBytes  = flag.Int64("max-memory-bytes", 0, "shed sessions while the heap estimate exceeds this (0 = fixed -max-sessions cap)")
 	)
 	flag.Parse()
 
@@ -183,12 +175,7 @@ func main() {
 	}
 
 	srvOpts := server.Options{
-		MaxSessions: *maxSessions,
-		Admission: server.AdmissionOptions{
-			MinSessions:      *minSessions,
-			MaxDecodeLatency: *maxDecodeLat,
-			MaxMemoryBytes:   *maxMemBytes,
-		},
+		MaxSessions:      *maxSessions,
 		IdleTimeout:      *idle,
 		WriteTimeout:     *writeT,
 		MaxConnBytes:     *maxBytes,

@@ -1,8 +1,9 @@
 // Package cluster scales the aprofd daemon horizontally: a static member
 // list is arranged on a consistent-hash ring that deterministically places
-// every session id on one node, a health prober keeps a live view of which
-// members currently answer APRD status probes, and a fan-out handler merges
-// every node's /profiles/ view into one cluster-wide query endpoint.
+// every session id on one node, and a fan-out handler merges every node's
+// /profiles/ view into one cluster-wide query endpoint. There is no
+// liveness view: a client finds a dead node by its refused connect and
+// walks on to the successor.
 //
 // The design is deliberately gossip-free: membership is configuration, not
 // consensus. What the ring buys over static assignment is a deterministic

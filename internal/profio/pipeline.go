@@ -119,7 +119,6 @@ type streamObs struct {
 	framesDropped   *obs.Counter
 	checkpoints     *obs.Counter
 	decodeUS        *obs.Histogram
-	decodeHWM       *obs.Gauge
 	profileUS       *obs.Histogram
 
 	lastDelivered     uint64
@@ -130,14 +129,6 @@ type streamObs struct {
 
 // ObsScopeProfio is the metric scope of the streaming pipeline.
 const ObsScopeProfio = "profio"
-
-// DecodeHWMGauge is the name (under ObsScopeProfio) of the windowed
-// batch-decode-latency high-water mark: every decoder sharing the registry
-// raises it with SetMax per batch, and a consumer — the aprofd admission
-// controller — reads and resets it per evaluation window. Unlike the
-// batch_decode_us histogram it answers "how bad did decode get since I
-// last looked", which is the overload signal, not the lifetime average.
-const DecodeHWMGauge = "decode_us_hwm"
 
 func newStreamObs(reg *obs.Registry, base core.StreamState) *streamObs {
 	if reg == nil {
@@ -152,7 +143,6 @@ func newStreamObs(reg *obs.Registry, base core.StreamState) *streamObs {
 		framesDropped:   s.Counter("frames_dropped"),
 		checkpoints:     s.Counter("checkpoints"),
 		decodeUS:        s.Histogram("batch_decode_us"),
-		decodeHWM:       s.Gauge(DecodeHWMGauge),
 		profileUS:       s.Histogram("batch_profile_us"),
 		// A resumed run reports only its own deliveries, not the
 		// checkpointed prefix it skipped.
@@ -423,9 +413,7 @@ func startDecoder(ctx context.Context, br *trace.BinaryReader, so *streamObs, ba
 			b.stats = br.Stats()
 			b.frames, b.resyncs = br.FrameStats()
 			if so != nil {
-				us := uint64(time.Since(fillStart).Microseconds())
-				so.decodeUS.Observe(us)
-				so.decodeHWM.SetMax(int64(us))
+				so.decodeUS.Observe(uint64(time.Since(fillStart).Microseconds()))
 			}
 			if len(batch) > 0 {
 				select {

@@ -12,8 +12,8 @@ package replica_test
 //     final profile is byte-identical to the offline pipeline. A restarted
 //     owner resumes from its own copy; an unusable copy is dropped.
 //   - Routing holds under link chaos, half-open links, busy-shed overload
-//     and health-based ejection of a dead owner, and the fan-out view
-//     serves a migrated session from any survivor.
+//     and a ring owner that is dead before the session starts, and the
+//     fan-out view serves a migrated session from any survivor.
 //   - Replication links that fragment and reset mid-frame delay but never
 //     corrupt: torn pushes are CRC-rejected, redials recover, output stays
 //     byte-identical.
@@ -1187,25 +1187,15 @@ func waitActive(t *testing.T, s *server.Server) {
 	}
 }
 
-// TestReplicaHealthRoutesAroundDeadNode: once the probers eject a killed
-// owner, a new session's dialer must skip it without paying a connect
-// attempt — the health view saves the dial, not just the session.
-func TestReplicaHealthRoutesAroundDeadNode(t *testing.T) {
+// TestReplicaDialerWalksPastDeadOwner: a session whose ring owner is
+// already dead when the upload starts costs one refused connect. The
+// dialer walks to the successor inside the same dial, stays there for the
+// whole session, and the successor stores the offline profile.
+func TestReplicaDialerWalksPastDeadOwner(t *testing.T) {
 	enc := testTrace(t, 44, 500)
 	want := offlineProfile(t, enc)
 	c := startReplicaCluster(t, 3, nil)
 
-	health := cluster.NewHealth(c.addrs, cluster.HealthOptions{
-		Interval: 10 * time.Millisecond,
-		Timeout:  time.Second,
-		Logf:     t.Logf,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	health.Start(ctx)
-	defer health.Stop()
-
-	// Kill the owner of the upcoming session and wait for ejection.
 	ring, err := cluster.NewRing(c.addrs, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -1213,25 +1203,15 @@ func TestReplicaHealthRoutesAroundDeadNode(t *testing.T) {
 	seq := ring.Sequence("routed")
 	dead := c.index(t, seq[0])
 	c.kill(t, dead)
-	for i := 0; ; i++ {
-		if !health.Alive(seq[0]) {
-			break
-		}
-		if i > 500 {
-			t.Fatalf("probers never ejected the killed owner; down=%v", health.Down())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
 	var mu sync.Mutex
-	dialed := map[string]int{}
+	var dialed []string
 	cd, err := client.NewClusterDialer(client.ClusterOptions{
 		Nodes:     c.addrs,
 		SessionID: "routed",
-		Health:    health,
 		DialNode: func(ctx context.Context, addr string) (net.Conn, error) {
 			mu.Lock()
-			dialed[addr]++
+			dialed = append(dialed, addr)
 			mu.Unlock()
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addr)
@@ -1248,16 +1228,28 @@ func TestReplicaHealthRoutesAroundDeadNode(t *testing.T) {
 		Backoff:   time.Millisecond,
 	})
 	if err != nil {
-		t.Fatalf("upload around dead owner failed: %v (result %+v)", err, res)
+		t.Fatalf("upload past dead owner failed: %v (result %+v)", err, res)
 	}
 	mu.Lock()
-	deadDials := dialed[seq[0]]
+	got := append([]string(nil), dialed...)
 	mu.Unlock()
-	if deadDials != 0 {
-		t.Fatalf("dialer paid %d connect attempts to the ejected owner", deadDials)
+	if len(got) < 2 || got[0] != seq[0] {
+		t.Fatalf("dials = %v, want the dead owner %s first, then its successor %s", got, seq[0], seq[1])
 	}
-	if got := c.result("routed", map[int]bool{dead: true}); !bytes.Equal(got, want) {
-		t.Fatal("profile after health-based routing differs from offline pipeline")
+	for i, addr := range got[1:] {
+		if addr != seq[1] {
+			t.Fatalf("dial %d went to %s, want every dial after the refused one on successor %s (dials %v)", i+1, addr, seq[1], got)
+		}
+	}
+	if node := cd.Node(); node != seq[1] {
+		t.Fatalf("session preference is %s, want successor %s", node, seq[1])
+	}
+	stored, err := c.nodes[c.index(t, seq[1])].rep.GetSession("routed")
+	if err != nil {
+		t.Fatalf("successor's store has no profile for the session: %v", err)
+	}
+	if !bytes.Equal(stored, want) {
+		t.Fatal("profile stored by the successor differs from offline pipeline")
 	}
 }
 

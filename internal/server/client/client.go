@@ -34,7 +34,7 @@ const (
 // handshake, event limit, config mismatch). Run gives up immediately.
 var ErrPermanent = errors.New("client: permanent server error")
 
-// ErrBusy marks a shed connection: the server is at its admission limit,
+// ErrBusy marks a shed connection: the server is at its MaxSessions cap,
 // the session id is already active, or the daemon is draining. Busy is
 // transient by construction — the daemon shed exactly so that a later (or
 // differently-routed) attempt can succeed — so Run retries it under its
@@ -194,10 +194,10 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 			failures, busy = 0, 0
 		}
 		if errors.Is(err, ErrBusy) {
-			// Shed, not broken: the server (or its admission controller)
-			// chose to turn this attempt away. Retry on the dedicated busy
-			// budget so sustained-but-finite overload cannot exhaust the
-			// failure budget meant for real breakage.
+			// Shed, not broken: the server chose to turn this attempt
+			// away. Retry on the dedicated busy budget so
+			// sustained-but-finite overload cannot exhaust the failure
+			// budget meant for real breakage.
 			busy++
 			logf("aprof client: attempt %d shed (%d consecutive busy): %v", attempt+1, busy, err)
 			if busy >= opts.MaxBusyAttempts {

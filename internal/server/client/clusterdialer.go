@@ -6,12 +6,13 @@ package client
 // successor, ...); the dialer walks it in response to what each attempt
 // reported:
 //
-//   - connect error       -> the node is unreachable: eject it from the
-//     health view and try the next candidate inside the same DialContext
-//     call — a dead node costs one dial, not one backoff cycle.
-//   - busy-shed handshake -> the node is healthy but full or draining:
-//     move to the successor immediately. Admission-control shedding is the
-//     cluster telling the client where not to be.
+//   - connect error       -> the node is unreachable: try the next
+//     candidate inside the same DialContext call — a dead node costs one
+//     refused dial, not one backoff cycle.
+//   - busy-shed handshake -> the node is up but full (at its MaxSessions
+//     cap, or the session id is already active there) or draining: move
+//     to the successor immediately. Shedding is the cluster telling the
+//     client where not to be.
 //   - mid-stream failure  -> retry the same node first: it holds the
 //     session's checkpoint, so staying put resumes from the highest acked
 //     offset. Only after FailoverAfter consecutive failures is the node
@@ -26,7 +27,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 
@@ -46,10 +46,6 @@ type ClusterOptions struct {
 	SessionID string
 	// VirtualNodes tunes the ring (default cluster.DefaultVirtualNodes).
 	VirtualNodes int
-	// Health, when non-nil, supplies the liveness view consulted before
-	// dialing and receives connect-failure reports. Run cluster.NewHealth
-	// probers over the same node list to keep it current.
-	Health *cluster.Health
 	// FailoverAfter is the consecutive mid-stream failure tolerance per
 	// node (default DefaultFailoverAfter).
 	FailoverAfter int
@@ -106,51 +102,32 @@ func (d *ClusterDialer) Node() string {
 func (d *ClusterDialer) Owner() string { return d.seq[0] }
 
 // DialContext connects to the preferred node, walking the failover
-// sequence past nodes that refuse the connection. Known-dead nodes are
-// skipped unless every node is presumed dead — then everything is tried,
-// because a stale health view must degrade to extra dials, not an outage.
+// sequence past nodes that refuse the connection. The walk starts at the
+// preferred node and moves the preference to the first node that answers;
+// when none does, the last node's connect error is returned.
 func (d *ClusterDialer) DialContext(ctx context.Context) (net.Conn, error) {
 	d.mu.Lock()
 	start := d.cur
 	d.mu.Unlock()
 
 	var lastErr error
-	skipped := 0
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < len(d.seq); i++ {
-			idx := (start + i) % len(d.seq)
-			addr := d.seq[idx]
-			// First pass honors the health view; the desperation pass (only
-			// reached when the first yielded nothing but skips) tries
-			// everything.
-			if pass == 0 && d.opts.Health != nil && !d.opts.Health.Alive(addr) {
-				skipped++
-				continue
-			}
-			conn, err := d.opts.DialNode(ctx, addr)
-			if err != nil {
-				lastErr = err
-				if d.opts.Health != nil {
-					d.opts.Health.ReportFailure(addr)
-				}
-				d.opts.Logf("aprof client: node %s unreachable: %v", addr, err)
-				continue
-			}
-			d.mu.Lock()
-			if d.cur != idx {
-				d.opts.Logf("aprof client: session %s routed to %s", d.opts.SessionID, addr)
-				d.cur = idx
-				d.streamFailures = 0
-			}
-			d.mu.Unlock()
-			return conn, nil
+	for i := 0; i < len(d.seq); i++ {
+		idx := (start + i) % len(d.seq)
+		addr := d.seq[idx]
+		conn, err := d.opts.DialNode(ctx, addr)
+		if err != nil {
+			lastErr = err
+			d.opts.Logf("aprof client: node %s unreachable: %v", addr, err)
+			continue
 		}
-		if skipped == 0 || lastErr != nil {
-			break
+		d.mu.Lock()
+		if d.cur != idx {
+			d.opts.Logf("aprof client: session %s routed to %s", d.opts.SessionID, addr)
+			d.cur = idx
+			d.streamFailures = 0
 		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("client: no cluster node reachable for session %s", d.opts.SessionID)
+		d.mu.Unlock()
+		return conn, nil
 	}
 	return nil, lastErr
 }

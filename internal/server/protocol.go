@@ -41,12 +41,10 @@ const (
 	protoVersion = 1
 
 	flagLenient byte = 1 << 0
-	// flagProbe marks a status probe: the server answers the handshake
-	// response (StatusOK with the active-session count in the offset field,
-	// or StatusBusy while draining) and closes, without claiming a session
-	// slot or reading a trace. The cluster health checker dials one of
-	// these per node per interval.
-	flagProbe byte = 1 << 1
+	// Bit 1<<1 once marked a status probe from the retired cluster health
+	// checker, which sent it with the session id "probe". It is no longer
+	// defined; readHandshake ignores it like any unknown bit, so an old
+	// prober's hello opens an ordinary session named "probe".
 	// Bit 1<<2 once declared a trace recorded with the retired
 	// instrumentation suppression. It is no longer defined; readHandshake
 	// ignores it like any unknown bit, so old clients are served unchanged.
@@ -85,7 +83,6 @@ func ValidSessionID(id string) bool {
 type handshake struct {
 	id      string
 	lenient bool
-	probe   bool
 }
 
 // readHandshake parses the client hello from br.
@@ -119,22 +116,7 @@ func readHandshake(br *bufio.Reader) (handshake, error) {
 	return handshake{
 		id:      string(id),
 		lenient: flags&flagLenient != 0,
-		probe:   flags&flagProbe != 0,
 	}, nil
-}
-
-// ProbeSessionID is the conventional session id carried by status probes.
-// It is never admitted as a session: the probe flag short-circuits the
-// handshake before slot acquisition.
-const ProbeSessionID = "probe"
-
-// AppendProbe encodes a status-probe hello: a handshake that asks only
-// "are you accepting sessions?" and claims nothing.
-func AppendProbe(dst []byte) []byte {
-	dst = append(dst, protoMagic...)
-	dst = append(dst, protoVersion, flagProbe)
-	dst = binary.AppendUvarint(dst, uint64(len(ProbeSessionID)))
-	return append(dst, ProbeSessionID...)
 }
 
 // AppendHandshake encodes the client hello (exported for the client

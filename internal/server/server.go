@@ -46,16 +46,9 @@ var errEventLimit = errors.New("server: session event limit exceeded")
 // in memory only (every one of them, for the life of the process).
 type Options struct {
 	// MaxSessions is the concurrent-session ceiling. Connection attempts
-	// beyond the effective limit receive an explicit busy response and are
-	// closed — load is shed, never queued into an unbounded backlog.
+	// beyond it receive an explicit busy response and are closed — load is
+	// shed, never queued into an unbounded backlog.
 	MaxSessions int
-	// Admission configures adaptive admission control beneath the
-	// MaxSessions ceiling: when any of its signal thresholds is set (and
-	// Obs is non-nil), the effective limit moves AIMD-style with the
-	// decode-latency high-water mark and the heap estimate, degrading
-	// overload to the same explicit shedding. The zero value keeps the
-	// fixed semaphore.
-	Admission AdmissionOptions
 	// IdleTimeout is the per-read deadline on client connections. A
 	// stalled or slow-loris client times out and frees its session slot
 	// (with its checkpoint intact) instead of holding it forever.
@@ -131,7 +124,6 @@ type serverMetrics struct {
 	sessionsFailed  *obs.Counter
 	sessionsDrained *obs.Counter
 	sessionsShed    *obs.Counter
-	probes          *obs.Counter
 	panics          *obs.Counter
 	ckptDiscarded   *obs.Counter
 	acksSent        *obs.Counter
@@ -159,7 +151,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		sessionsFailed:  s.Counter("sessions_failed"),
 		sessionsDrained: s.Counter("sessions_drained"),
 		sessionsShed:    s.Counter("sessions_shed"),
-		probes:          s.Counter("probes_answered"),
 		panics:          s.Counter("panics_recovered"),
 		ckptDiscarded:   s.Counter("checkpoints_discarded"),
 		acksSent:        s.Counter("acks_sent"),
@@ -182,7 +173,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 type Server struct {
 	opts Options
 	m    serverMetrics
-	adm  *admission
 
 	ctx    context.Context // cancelled on drain/abort; parent of all sessions
 	cancel context.CancelFunc
@@ -227,7 +217,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:      opts,
 		m:         newServerMetrics(opts.Obs),
-		adm:       newAdmission(opts.MaxSessions, opts.Admission, opts.Obs),
 		ctx:       ctx,
 		cancel:    cancel,
 		conns:     make(map[net.Conn]struct{}),
@@ -402,29 +391,12 @@ func (s *Server) session(conn net.Conn) {
 		return
 	}
 
-	if hs.probe {
-		// A liveness probe: answer and hang up. It never claims a slot, so
-		// probing an overloaded node still succeeds — "full" and "down" are
-		// different answers. Only a draining node refuses: it sheds every
-		// new session, so routing should stop picking it.
-		s.m.probes.Inc()
-		if s.draining.Load() {
-			writeResponse(conn, s.opts.WriteTimeout, StatusBusy, 0, "server draining")
-			return
-		}
-		s.mu.Lock()
-		active := len(s.activeIDs)
-		s.mu.Unlock()
-		writeResponse(conn, s.opts.WriteTimeout, StatusOK, uint64(active), "")
-		return
-	}
-
 	if s.draining.Load() {
 		writeResponse(conn, s.opts.WriteTimeout, StatusBusy, 0, "server draining")
 		return
 	}
 
-	// Backpressure: one slot per session up to the admission limit, then
+	// Backpressure: one slot per session up to MaxSessions, then
 	// explicit shedding. A busy response costs the daemon almost nothing;
 	// an unbounded accept queue under overload costs it everything — and a
 	// cluster-aware client turns the busy answer into failover to the ring
@@ -633,12 +605,11 @@ func (s *Server) failSession(conn net.Conn, id string, metered *meteredReader, e
 	}
 }
 
-// acquireSlot claims a session slot and the session id, atomically. The
-// admission controller decides how many slots currently exist.
+// acquireSlot claims a session slot and the session id, atomically.
 func (s *Server) acquireSlot(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.adm.admit(len(s.activeIDs)) {
+	if len(s.activeIDs) >= s.opts.MaxSessions {
 		return false
 	}
 	if _, busy := s.activeIDs[id]; busy {

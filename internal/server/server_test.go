@@ -154,39 +154,46 @@ func TestHandshakeRejects(t *testing.T) {
 		conn.Close()
 	}
 
-	// An unknown flag bit is not malformed: a hello with the retired bit
-	// 1<<2 set is accepted and yields the offline profile.
+	// An unknown flag bit is not malformed: a hello with either retired bit
+	// set is accepted as an ordinary session and yields the offline
+	// profile. Bit 1<<1 is sent as the retired health prober sent it, under
+	// the session id "probe"; bit 1<<2 is the retired suppression bit.
 	enc := testTrace(t, 3, 600)
-	hello := server.AppendHandshake(nil, "bit2", false)
-	hello[5] |= 1 << 2
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Write(hello)
-	br := bufio.NewReader(conn)
-	resp, err := server.ReadResponse(br)
-	if err != nil || resp.Status != server.StatusOK {
-		t.Fatalf("bit 2 hello: status %q, err %v; want accepted", resp.Status, err)
-	}
-	conn.Write(enc)
-	conn.(*net.TCPConn).CloseWrite()
-	for {
-		rec, err := server.ReadRecord(br)
+	for _, tc := range []struct {
+		id  string
+		bit byte
+	}{{"probe", 1 << 1}, {"bit2", 1 << 2}} {
+		hello := server.AppendHandshake(nil, tc.id, false)
+		hello[5] |= tc.bit
+		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
-			t.Fatalf("bit 2 session: %v", err)
+			t.Fatal(err)
 		}
-		if rec.Kind == server.RecError {
-			t.Fatalf("bit 2 session failed: %s", rec.Msg)
+		defer conn.Close()
+		conn.Write(hello)
+		br := bufio.NewReader(conn)
+		resp, err := server.ReadResponse(br)
+		if err != nil || resp.Status != server.StatusOK {
+			t.Fatalf("hello with bit %#x: status %q, err %v; want accepted", tc.bit, resp.Status, err)
 		}
-		if rec.Kind == server.RecFinal {
-			break
+		conn.Write(enc)
+		conn.(*net.TCPConn).CloseWrite()
+		for {
+			rec, err := server.ReadRecord(br)
+			if err != nil {
+				t.Fatalf("session %s: %v", tc.id, err)
+			}
+			if rec.Kind == server.RecError {
+				t.Fatalf("session %s failed: %s", tc.id, rec.Msg)
+			}
+			if rec.Kind == server.RecFinal {
+				break
+			}
 		}
-	}
-	got, ok := s.Result("bit2")
-	if !ok || !bytes.Equal(got.Profile, offlineProfile(t, enc)) {
-		t.Fatal("bit 2 session profile differs from offline pipeline")
+		got, ok := s.Result(tc.id)
+		if !ok || !bytes.Equal(got.Profile, offlineProfile(t, enc)) {
+			t.Fatalf("session %s (bit %#x) profile differs from offline pipeline", tc.id, tc.bit)
+		}
 	}
 }
 
