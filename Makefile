@@ -35,6 +35,7 @@ race: vet
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/vm
+	$(GO) test -run xxx -fuzz FuzzFusedMatchesUnfused -fuzztime $(FUZZTIME) ./internal/vm
 	$(GO) test -run xxx -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzReadText -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzReadProfiles -fuzztime $(FUZZTIME) ./internal/profio

@@ -16,6 +16,7 @@ import (
 	"aprof/internal/experiments"
 	"aprof/internal/tools"
 	"aprof/internal/trace"
+	"aprof/internal/vm"
 	"aprof/internal/workloads"
 )
 
@@ -173,18 +174,32 @@ func BenchmarkComparatorTools(b *testing.B) {
 	}
 }
 
-// BenchmarkVMInterpreter measures MiniLang execution speed (instructions per
-// second of the DBI substitute).
+// BenchmarkVMInterpreter measures MiniLang execution speed on each
+// application of workloads.VMPrograms: the program is compiled once and each
+// iteration is one instrumented run. steps/op is the bytecode instructions a
+// run executes and ns/step the interpreter's cost per instruction, trace
+// building included (the DBI substitute's per-instruction overhead).
 func BenchmarkVMInterpreter(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr, err := workloads.SelectionSortVM([]int{64, 128})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tr.Len() == 0 {
-			b.Fatal("empty trace")
-		}
+	for _, p := range workloads.VMPrograms() {
+		p := p
+		b.Run(p.Name, func(b *testing.B) {
+			cp, err := vm.Compile(p.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var steps uint64
+			for i := 0; i < b.N; i++ {
+				res, err := vm.RunProgram(cp, vm.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps = res.Steps
+			}
+			b.ReportMetric(float64(steps), "steps/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps)/float64(b.N), "ns/step")
+		})
 	}
 }
 

@@ -122,6 +122,9 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 
 	reg := obs.NewRegistry()
+	// Sessions report their core, shadow and profio metrics here too, so
+	// -debug-addr's /debug/obs shows them next to the server's.
+	cfg.Obs = reg
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
 	var store *repo.Repository

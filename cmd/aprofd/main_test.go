@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"aprof"
+	"aprof/internal/obs"
 	"aprof/internal/trace"
 )
 
@@ -151,6 +153,26 @@ func TestDaemonEndToEnd(t *testing.T) {
 	onDisk, err := os.ReadFile(filepath.Join(resultDir, "e2e.json"))
 	if err != nil || !bytes.Equal(onDisk, want) {
 		t.Fatalf("result-dir profile: %v, matches: %v", err, bytes.Equal(onDisk, want))
+	}
+
+	// The session's analysis metrics reach the daemon's registry.
+	resp, err = http.Get("http://" + debugAddr + "/debug/obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /debug/obs: %v", err)
+	}
+	if got := snap.Scope("profio").Counter("batches"); got == 0 {
+		t.Error("/debug/obs: profio batches = 0")
+	}
+	for _, name := range []string{"events_read", "events_write", "events_call", "events_return"} {
+		if got := snap.Scope("core").Counter(name); got == 0 {
+			t.Errorf("/debug/obs: core %s = 0", name)
+		}
 	}
 
 	// SIGTERM with nothing in flight: a prompt, clean drain.

@@ -20,31 +20,7 @@ import (
 // Compile and Optimize themselves), and verified programs must never panic
 // the interpreter, however they terminate.
 func FuzzParse(f *testing.F) {
-	corpus, err := filepath.Glob(filepath.Join("testdata", "*.ml"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, path := range corpus {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(src))
-	}
-	f.Add("fn main() { }")
-	f.Add("global g = 1; fn main() { let x = g + 1; print(x); }")
-	f.Add(`fn main() { let s = "a\nb"; }`)
-	f.Add("fn f(a, b) { if a < b { return a; } return b; }")
-	f.Add("fn main() { spawn f(); } fn f() { }")
-	// Seeds exercising each lint diagnostic (V001..V006).
-	f.Add("fn main() { print(x); var x = 1; }")                          // V001 use before declaration
-	f.Add("fn main() { { var x = 1; print(x); } x = 2; }")               // V001 use outside scope
-	f.Add("fn main() { var dead = 3; }")                                 // V002 unused variable
-	f.Add("fn main() { } fn orphan() { return 1; }")                     // V003 unused function
-	f.Add("fn main() { return 0; print(1); }")                           // V004 unreachable code
-	f.Add("fn main() { while (2 > 1) { break; } if (0) { print(1); } }") // V005 constant condition
-	f.Add("fn f(a) { return a; } fn main() { print(f(1, 2)); }")         // V006 wrong arity
-	f.Add("fn main() { var a = alloc(4); a[0] = rand(9); print(a[0]); }")
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := vm.Parse(src)
 		if err != nil {
@@ -77,4 +53,34 @@ func FuzzParse(f *testing.F) {
 		// errors (division by zero, deadlock, step limit...) are fine.
 		_, _ = vm.RunProgram(cp, vm.Options{MaxSteps: 50_000, HeapLimit: 1 << 16})
 	})
+}
+
+// addFuzzSeeds seeds a MiniLang fuzz target with the testdata corpus and
+// small programs covering each language feature and lint diagnostic.
+func addFuzzSeeds(f *testing.F) {
+	corpus, err := filepath.Glob(filepath.Join("testdata", "*.ml"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range corpus {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Add("fn main() { }")
+	f.Add("global g = 1; fn main() { let x = g + 1; print(x); }")
+	f.Add(`fn main() { let s = "a\nb"; }`)
+	f.Add("fn f(a, b) { if a < b { return a; } return b; }")
+	f.Add("fn main() { spawn f(); } fn f() { }")
+	// Seeds exercising each lint diagnostic (V001..V006).
+	f.Add("fn main() { print(x); var x = 1; }")                          // V001 use before declaration
+	f.Add("fn main() { { var x = 1; print(x); } x = 2; }")               // V001 use outside scope
+	f.Add("fn main() { var dead = 3; }")                                 // V002 unused variable
+	f.Add("fn main() { } fn orphan() { return 1; }")                     // V003 unused function
+	f.Add("fn main() { return 0; print(1); }")                           // V004 unreachable code
+	f.Add("fn main() { while (2 > 1) { break; } if (0) { print(1); } }") // V005 constant condition
+	f.Add("fn f(a) { return a; } fn main() { print(f(1, 2)); }")         // V006 wrong arity
+	f.Add("fn main() { var a = alloc(4); a[0] = rand(9); print(a[0]); }")
 }

@@ -100,6 +100,7 @@ type vmThread struct {
 // vmFrame is one activation record.
 type vmFrame struct {
 	fn     *Func
+	xs     []slot // fn's execution array
 	pc     int
 	locals []int64
 	stack  []int64
@@ -114,6 +115,7 @@ type semaphore struct {
 // interp holds the whole machine state.
 type interp struct {
 	cp      *CompiledProgram
+	xs      [][]slot // execution arrays, by function index
 	opts    Options
 	heap    []int64
 	heapEnd int64
@@ -133,13 +135,23 @@ const maxCallDepth = 4096
 // RunProgram executes a compiled program under instrumentation and returns
 // the merged trace plus program output.
 func RunProgram(cp *CompiledProgram, opts Options) (*Result, error) {
+	return runProgram(cp, opts, true)
+}
+
+// runProgram is RunProgram with the choice of fused execution arrays; the
+// unfused run is the oracle for the fused one.
+func runProgram(cp *CompiledProgram, opts Options, fuse bool) (*Result, error) {
 	opts = opts.withDefaults()
 	in := &interp{
 		cp:      cp,
 		opts:    opts,
+		xs:      make([][]slot, len(cp.Funcs)),
 		builder: trace.NewBuilder(),
 		heapEnd: cp.GlobalEnd,
 		nextID:  1,
+	}
+	for i, fn := range cp.Funcs {
+		in.xs[i] = buildExec(fn, cp.Constants, fuse)
 	}
 	in.builder.AutoCost(false)
 	in.heap = make([]int64, cp.GlobalEnd+1024)
@@ -169,7 +181,7 @@ func RunProgram(cp *CompiledProgram, opts Options) (*Result, error) {
 // the given arguments.
 func (in *interp) spawnThread(fnIdx int, args []int64) *vmThread {
 	fn := in.cp.Funcs[fnIdx]
-	fr := &vmFrame{fn: fn, locals: make([]int64, fn.NumLocals)}
+	fr := &vmFrame{fn: fn, xs: in.xs[fnIdx], locals: make([]int64, fn.NumLocals)}
 	copy(fr.locals, args)
 	t := &vmThread{
 		id:        in.nextID,
@@ -208,10 +220,13 @@ func (in *interp) schedule() error {
 }
 
 // runSlice executes t until it crosses Quantum basic-block boundaries,
-// blocks, or finishes. It is the interpreter's one dispatch loop. The top
-// frame's code, block leaders, pc, operand stack and locals live in local
-// variables: they are reloaded when a call or return changes the top frame,
-// and pc and stack are written back to the frame when the slice ends.
+// blocks, or finishes. It is the interpreter's one dispatch loop, over the
+// top frame's execution array (exec.go). That array, pc, the operand stack
+// and the locals live in local variables: they are reloaded when a call or
+// return changes the top frame, and pc and stack are written back to the
+// frame when the slice ends. at is the pc of the executing slot; the cold
+// paths look its instruction up in Func.Code for the error line and the
+// print operands.
 func (in *interp) runSlice(t *vmThread) error {
 	tb := t.tb
 	if !t.started {
@@ -227,119 +242,126 @@ func (in *interp) runSlice(t *vmThread) error {
 	blocks, quantum := 0, in.opts.Quantum
 
 	fr := t.frames[len(t.frames)-1]
-	code, lead, locals, st, pc := fr.fn.Code, fr.fn.BlockStart, fr.locals, fr.stack, fr.pc
+	xs, locals, st, pc := fr.xs, fr.locals, fr.stack, fr.pc
 	var err error
 run:
 	for {
-		if lead[pc] {
+		s := &xs[pc]
+		if s.lead {
 			if blocks >= quantum {
 				break run // switch threads at the block boundary
 			}
 			blocks++
 			t.bb++
 		}
-		if steps >= maxSteps {
-			err = &RuntimeError{Func: fr.fn.Name, Line: int(code[pc].Line), Msg: "step limit exceeded (infinite loop?)"}
-			break run
+		if steps+uint64(s.n) > maxSteps {
+			// Too few steps left for the whole slot: run its first
+			// instruction alone, so the limit stops on the exact one.
+			if steps >= maxSteps {
+				err = &RuntimeError{Func: fr.fn.Name, Line: int(fr.fn.Code[pc].Line), Msg: "step limit exceeded (infinite loop?)"}
+				break run
+			}
+			u := decode(fr.fn.Code[pc], consts)
+			s = &u
 		}
-		steps++
-		ins := &code[pc]
-		pc++
+		steps += uint64(s.n)
+		at := pc
+		pc += int(s.n)
 		top := len(st) - 1
-		switch ins.Op {
-		case OpConst:
-			st = append(st, consts[ins.A])
-		case OpLoadLocal:
-			st = append(st, locals[ins.A])
-		case OpStoreLocal:
-			locals[ins.A] = st[top]
+		switch s.op {
+		case xop(OpConst):
+			st = append(st, s.k)
+		case xop(OpLoadLocal):
+			st = append(st, locals[s.a])
+		case xop(OpStoreLocal):
+			locals[s.a] = st[top]
 			st = st[:top]
-		case OpLoadMem:
+		case xop(OpLoadMem):
 			addr := st[top]
 			if addr < heapBase || addr > heapEnd-1 {
-				err = in.memErr(fr, ins, addr, 1)
+				err = in.memErr(fr, &fr.fn.Code[at], addr, 1)
 				break run
 			}
 			tb.SetCost(t.bb)
 			tb.Read1(trace.Addr(addr))
 			st[top] = heap[addr]
-		case OpStoreMem:
+		case xop(OpStoreMem):
 			addr := st[top-1]
 			if addr < heapBase || addr > heapEnd-1 {
-				err = in.memErr(fr, ins, addr, 1)
+				err = in.memErr(fr, &fr.fn.Code[at], addr, 1)
 				break run
 			}
 			tb.SetCost(t.bb)
 			tb.Write1(trace.Addr(addr))
 			heap[addr] = st[top]
 			st = st[:top-1]
-		case OpAdd:
+		case xop(OpAdd):
 			st[top-1] += st[top]
 			st = st[:top]
-		case OpSub:
+		case xop(OpSub):
 			st[top-1] -= st[top]
 			st = st[:top]
-		case OpMul:
+		case xop(OpMul):
 			st[top-1] *= st[top]
 			st = st[:top]
-		case OpDiv:
+		case xop(OpDiv):
 			if st[top] == 0 {
-				err = in.rtErr(fr, ins, "division by zero")
+				err = in.rtErr(fr, &fr.fn.Code[at], "division by zero")
 				break run
 			}
 			st[top-1] /= st[top]
 			st = st[:top]
-		case OpMod:
+		case xop(OpMod):
 			if st[top] == 0 {
-				err = in.rtErr(fr, ins, "division by zero")
+				err = in.rtErr(fr, &fr.fn.Code[at], "division by zero")
 				break run
 			}
 			st[top-1] %= st[top]
 			st = st[:top]
-		case OpNeg:
+		case xop(OpNeg):
 			st[top] = -st[top]
-		case OpNot:
+		case xop(OpNot):
 			st[top] = boolVal(st[top] == 0)
-		case OpEq:
+		case xop(OpEq):
 			st[top-1] = boolVal(st[top-1] == st[top])
 			st = st[:top]
-		case OpNe:
+		case xop(OpNe):
 			st[top-1] = boolVal(st[top-1] != st[top])
 			st = st[:top]
-		case OpLt:
+		case xop(OpLt):
 			st[top-1] = boolVal(st[top-1] < st[top])
 			st = st[:top]
-		case OpLe:
+		case xop(OpLe):
 			st[top-1] = boolVal(st[top-1] <= st[top])
 			st = st[:top]
-		case OpGt:
+		case xop(OpGt):
 			st[top-1] = boolVal(st[top-1] > st[top])
 			st = st[:top]
-		case OpGe:
+		case xop(OpGe):
 			st[top-1] = boolVal(st[top-1] >= st[top])
 			st = st[:top]
-		case OpJump:
-			pc = int(ins.A)
-		case OpJumpIfZero:
+		case xop(OpJump):
+			pc = int(s.a)
+		case xop(OpJumpIfZero):
 			if st[top] == 0 {
-				pc = int(ins.A)
+				pc = int(s.a)
 			}
 			st = st[:top]
-		case OpJumpIfNonZero:
+		case xop(OpJumpIfNonZero):
 			if st[top] != 0 {
-				pc = int(ins.A)
+				pc = int(s.a)
 			}
 			st = st[:top]
-		case OpPop:
+		case xop(OpPop):
 			st = st[:top]
-		case OpCall:
+		case xop(OpCall):
 			if len(t.frames) >= maxCallDepth {
-				err = in.rtErr(fr, ins, "call stack overflow (depth %d)", maxCallDepth)
+				err = in.rtErr(fr, &fr.fn.Code[at], "call stack overflow (depth %d)", maxCallDepth)
 				break run
 			}
-			callee := in.cp.Funcs[ins.A]
-			nf := &vmFrame{fn: callee, locals: make([]int64, callee.NumLocals)}
-			args := len(st) - int(ins.B)
+			callee := in.cp.Funcs[s.a]
+			nf := &vmFrame{fn: callee, xs: in.xs[s.a], locals: make([]int64, callee.NumLocals)}
+			args := len(st) - int(s.b)
 			copy(nf.locals, st[args:])
 			st = st[:args]
 			tb.SetCost(t.bb)
@@ -347,8 +369,8 @@ run:
 			fr.pc, fr.stack = pc, st
 			t.frames = append(t.frames, nf)
 			fr = nf
-			code, lead, locals, st, pc = fr.fn.Code, fr.fn.BlockStart, fr.locals, fr.stack, fr.pc
-		case OpReturn:
+			xs, locals, st, pc = fr.xs, fr.locals, fr.stack, fr.pc
+		case xop(OpReturn):
 			ret := st[top]
 			tb.SetCost(t.bb)
 			tb.Ret()
@@ -358,23 +380,23 @@ run:
 				break run
 			}
 			fr = t.frames[len(t.frames)-1]
-			code, lead, locals, st, pc = fr.fn.Code, fr.fn.BlockStart, fr.locals, fr.stack, fr.pc
+			xs, locals, st, pc = fr.xs, fr.locals, fr.stack, fr.pc
 			st = append(st, ret)
-		case OpSpawn:
-			args := len(st) - int(ins.B)
-			in.spawnThread(int(ins.A), st[args:])
+		case xop(OpSpawn):
+			args := len(st) - int(s.b)
+			in.spawnThread(int(s.a), st[args:])
 			st = st[:args]
-		case OpAlloc:
-			if st[top], err = in.alloc(fr, ins, st[top]); err != nil {
+		case xop(OpAlloc):
+			if st[top], err = in.alloc(fr, &fr.fn.Code[at], st[top]); err != nil {
 				break run
 			}
 			heap, heapEnd = in.heap, in.heapEnd
-		case OpSemNew:
-			if st[top], err = in.semNew(fr, ins, st[top]); err != nil {
+		case xop(OpSemNew):
+			if st[top], err = in.semNew(fr, &fr.fn.Code[at], st[top]); err != nil {
 				break run
 			}
-		case OpSemWait:
-			blocked, werr := in.semWait(t, fr, ins, st[top])
+		case xop(OpSemWait):
+			blocked, werr := in.semWait(t, fr, &fr.fn.Code[at], st[top])
 			if werr != nil || blocked {
 				// A blocked wait pops the id now; the granting signal
 				// completes the stack effect.
@@ -383,39 +405,62 @@ run:
 				break run
 			}
 			st[top] = 0
-		case OpSemSignal:
-			if err = in.semSignal(t, fr, ins, st[top]); err != nil {
+		case xop(OpSemSignal):
+			if err = in.semSignal(t, fr, &fr.fn.Code[at], st[top]); err != nil {
 				break run
 			}
 			st[top] = 0
-		case OpSysRead:
-			if err = in.sysRead(t, fr, ins, st[top-1], st[top]); err != nil {
+		case xop(OpSysRead):
+			if err = in.sysRead(t, fr, &fr.fn.Code[at], st[top-1], st[top]); err != nil {
 				break run
 			}
 			st[top-1] = st[top]
 			st = st[:top]
-		case OpSysWrite:
-			if err = in.sysWrite(t, fr, ins, st[top-1], st[top]); err != nil {
+		case xop(OpSysWrite):
+			if err = in.sysWrite(t, fr, &fr.fn.Code[at], st[top-1], st[top]); err != nil {
 				break run
 			}
 			st[top-1] = st[top]
 			st = st[:top]
-		case OpPrint:
-			args := len(st) - int(ins.A)
-			in.print(ins, st[args:])
+		case xop(OpPrint):
+			args := len(st) - int(s.a)
+			in.print(&fr.fn.Code[at], st[args:])
 			st = append(st[:args], 0)
-		case OpAssert:
+		case xop(OpAssert):
 			if st[top] == 0 {
-				err = in.rtErr(fr, ins, "assertion failed")
+				err = in.rtErr(fr, &fr.fn.Code[at], "assertion failed")
 				break run
 			}
 			st[top] = 0
-		case OpRand:
-			if st[top], err = in.rand(fr, ins, st[top]); err != nil {
+		case xop(OpRand):
+			if st[top], err = in.rand(fr, &fr.fn.Code[at], st[top]); err != nil {
 				break run
 			}
+		case xIncLocalJump:
+			locals[s.b] = locals[s.a] + s.k
+			pc = int(s.t)
+		case xLtLocalJz:
+			if locals[s.a] >= locals[s.b] {
+				pc = int(s.t)
+			}
+		case xPushAddLocal:
+			st = append(st, locals[s.a]+locals[s.b])
+		case xPushAddConst:
+			st = append(st, locals[s.a]+s.k)
+		case xPushMulConst:
+			st = append(st, locals[s.a]*s.k)
+		case xAddConst:
+			st[top] += s.k
+		case xAddStore:
+			locals[s.a] = st[top-1] + st[top]
+			st = st[:top-1]
+		case xMulAdd:
+			st[top-2] += st[top-1] * st[top]
+			st = st[:top-1]
+		case xModConst:
+			st[top] %= s.k
 		default:
-			err = in.rtErr(fr, ins, "unhandled opcode %s", ins.Op)
+			err = in.rtErr(fr, &fr.fn.Code[at], "unhandled opcode %s", fr.fn.Code[at].Op)
 			break run
 		}
 	}
